@@ -44,7 +44,9 @@ std::string manifest_to_text(const FarmManifest& manifest) {
   out << "count " << plan.count << '\n';
   out << "seed " << plan.seed << '\n';
   out << "grid";
-  char buf[64];
+  // Room for the chaos line's three %.17g fields (each up to 24 bytes)
+  // plus separators and the terminator.
+  char buf[80];
   for (const double g : plan.grid) {
     // %.17g round-trips any double exactly; the manifest must reproduce the
     // same search starts in every process.

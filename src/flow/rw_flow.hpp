@@ -53,7 +53,8 @@ struct RwFlowOptions {
   double degrade_cf = 2.5;  ///< escalated CF for the fallback attempt
   /// Worker threads for the per-block implement loop (the blocks are
   /// independent). The stitch parallelises separately via multi-start
-  /// annealing: set stitch.restarts / stitch.jobs. 1 = sequential, 0 = auto
+  /// restarts of its engine (stitch.engine, SA or evo): set stitch.restarts
+  /// / stitch.jobs. 1 = sequential, 0 = auto
   /// (hardware concurrency). Results are bit-identical at any value: blocks
   /// land in pre-sized slots, the ToolRunner keeps per-block state, and the
   /// fault-injection stream is a pure function of (seed, block, ordinal).

@@ -1,28 +1,15 @@
 #pragma once
-// Stitcher engine interface and the shared option / result types.
+// Stitcher option / result types shared by the two placement engines:
 //
-// PR 3 left the simulated annealer as the only way to solve a stitch
-// problem. This header extracts the contract every placement engine obeys --
-// same problem in, same StitchResult out, deterministic for a given
-// (options, seed) -- so the portfolio driver (stitch/portfolio.hpp) can race
-// engines against each other on the deterministic thread pool:
+//   * "sa"  -- the incremental simulated annealer (stitch/sa_stitcher), the
+//              paper-faithful engine and the default;
+//   * "evo" -- RapidLayout-style evolutionary search over placements
+//              (stitch/evo_stitcher).
 //
-//   * "sa"       -- the incremental simulated annealer (stitch/sa_stitcher);
-//   * "evo"      -- RapidLayout-style evolutionary search over placement
-//                   permutations (stitch/evo_stitcher);
-//   * "analytic" -- a deterministic centroid pre-placer with footprint-legal
-//                   snapping (stitch/analytic_placer); it also doubles as
-//                   the warm start for SA configurations.
-//
-// Determinism rules (the portfolio's bit-identity contract depends on all
-// three):
-//   1. an Engine::run is a pure function of (device, problem, options) --
-//      no wall-clock or scheduling inputs feed the walk;
-//   2. every raced configuration derives its seed from task_seed, never from
-//      sibling scheduling;
-//   3. winners are chosen by (cost, lowest config index) -- or by
-//      (moves-to-target, lowest config index) under a first-to-target race
-//      -- so the outcome is identical at any `jobs` value.
+// Both obey the same contract -- same problem in, same StitchResult out --
+// and a run is a pure function of (device, problem, options): no wall-clock
+// or scheduling input feeds the walk. `stitch()` (stitch/sa_stitcher.hpp)
+// dispatches to one of them, once per multi-start restart.
 
 #include <cstdint>
 #include <optional>
@@ -41,15 +28,12 @@
 
 namespace mf {
 
-/// The engine families the stitcher can run. Portfolio is a meta-engine:
-/// it races a configurable set of the other three.
-enum class StitchEngine : std::uint8_t { Sa, Evo, Analytic, Portfolio };
+/// The engines the stitcher can run.
+enum class StitchEngine : std::uint8_t { Sa, Evo };
 
-[[nodiscard]] const char* to_string(StitchEngine engine) noexcept;
-
-/// Parse an engine name ("sa", "evo", "analytic", "portfolio"); nullopt on
-/// anything else. Callers must fail fast on nullopt -- a silent SA fallback
-/// would hide typos in --stitch-engine.
+/// Parse an engine name ("sa", "evo"); nullopt on anything else. Callers
+/// must fail fast on nullopt -- a silent SA fallback would hide typos in
+/// --stitch-engine.
 [[nodiscard]] std::optional<StitchEngine> stitch_engine_from_string(
     std::string_view name) noexcept;
 
@@ -78,64 +62,36 @@ struct StitchOptions {
   /// amortised watchdog check as max_seconds, with the same degradation
   /// semantics (stop, restore best-so-far, watchdog_fired = true). This
   /// subsumes max_seconds for end-to-end deadlines -- one token armed with
-  /// set_deadline_seconds() bounds the whole flow, every raced engine
-  /// configuration included.
+  /// set_deadline_seconds() bounds the whole flow, every restart included.
   const CancelToken* cancel = nullptr;
-  /// Independent restarts per engine (multi-start). 1 = one run seeded with
-  /// `seed` -- exactly the historical single-start behaviour, move for
-  /// move. K > 1 runs K independent configurations, restart k seeded with
+  /// Independent restarts (multi-start). 1 = one run seeded with `seed` --
+  /// exactly the historical single-start behaviour, move for move. K > 1
+  /// runs K independent restarts, restart k seeded with
   /// task_seed(seed, "restart:<k>"); the lowest final cost wins, ties going
-  /// to the lowest k. Deterministic at any `jobs` value. The analytic
-  /// engine is seed-free, so it contributes one configuration regardless.
+  /// to the lowest k. Deterministic at any `jobs` value.
   int restarts = 1;
-  /// Worker threads for the raced-configuration fan-out (1 = sequential,
-  /// 0 = auto, i.e. hardware concurrency). Results are bit-identical at any
-  /// value -- each configuration is an isolated engine run with its own
-  /// derived seed, written into a pre-sized slot.
+  /// Worker threads for the restart fan-out (1 = sequential, 0 = auto, i.e.
+  /// hardware concurrency). Results are bit-identical at any value -- each
+  /// restart is an isolated engine run with its own derived seed, written
+  /// into a pre-sized slot.
   int jobs = MF_JOBS_DEFAULT;
   /// Run the pre-incremental reference cost engine inside SA: naive per-net
   /// bounding box rescans, a per-cell occupant grid, and O(instances)
   /// candidate scans per move. Kept for differential tests and the
   /// bench_stitch A/B; results are bit-identical to the default incremental
-  /// engine, only slower. SA-only (the other engines ignore it).
+  /// engine, only slower. SA-only (evo ignores it).
   bool reference_engine = false;
-
-  // -- engine selection / portfolio knobs -----------------------------------
-  /// Which engine solves the problem. Portfolio races `portfolio` (or the
-  /// default analytic + sa + evo set) and returns the winner.
+  /// Which engine solves the problem.
   StitchEngine engine = StitchEngine::Sa;
-  /// Engines raced when `engine == Portfolio` (empty = analytic, sa, evo,
-  /// in that config-index order). Portfolio itself is not a valid entry.
-  std::vector<StitchEngine> portfolio;
-  /// Per-configuration move budget for raced runs (0 = every engine runs
-  /// its natural schedule). Maps onto the SA watchdog (max_moves) and the
-  /// evolutionary generation budget, so "cost at equal budget" comparisons
-  /// are exact. Must be >= 0.
-  long engine_budget = 0;
-  /// First-to-target race: when > 0, the portfolio winner is the
-  /// configuration that first reaches cost <= target_cost (fewest moves,
-  /// ties to the lowest config index), falling back to best-at-budget when
-  /// no configuration reaches it. Engines record the crossing move index in
-  /// StitchResult::target_move either way.
-  double target_cost = 0.0;
   /// Evolutionary population size (>= 2). Individual 0 is the deterministic
-  /// greedy (or analytic warm-start) placement; the rest are randomized.
+  /// greedy placement; the rest are randomized.
   int evo_population = 12;
-  /// Evolutionary generation cap (0 = run until the move budget or
-  /// stagnation stops the search).
-  int evo_generations = 0;
-  /// Seed SA (and evolutionary individual 0) with the analytic pre-placement
-  /// instead of the greedy initial placement. The portfolio sets this
-  /// automatically for its SA configurations whenever the analytic engine
-  /// is also in the race; a pure-SA portfolio stays cold-started so
-  /// `engines=sa, restarts=1` reproduces the historical run move for move.
-  bool warm_start = false;
 };
 
-/// Fail-fast validation of the engine/portfolio knobs. Returns a message on
-/// the first violated constraint, nullopt when the options are usable.
-/// stitch() turns a violation into an MF_CHECK failure; the CLI reports it
-/// and exits 2 before any flow work starts.
+/// Fail-fast validation of the options. Returns a message on the first
+/// violated constraint, nullopt when the options are usable. stitch() turns
+/// a violation into an MF_CHECK failure; the CLI reports it and exits 2
+/// before any flow work starts.
 [[nodiscard]] std::optional<std::string> stitch_options_error(
     const StitchOptions& opts);
 
@@ -143,25 +99,6 @@ struct BlockPlacement {
   int col = -1;
   int row = -1;
   [[nodiscard]] bool placed() const noexcept { return col >= 0; }
-};
-
-/// Per-configuration accounting of one raced engine run. StitchResult keeps
-/// the historical aggregate fields (total_moves, restart_index,
-/// restart_moves) for existing consumers; `engines` is the per-engine
-/// breakdown a multi-engine run needs.
-struct EngineStats {
-  std::string engine;       ///< "sa" | "evo" | "analytic"
-  int config = 0;           ///< index in the raced configuration list
-  std::uint64_t seed = 0;   ///< seed this configuration ran with
-  bool warm_start = false;  ///< analytic pre-placement seeded this run
-  long moves = 0;           ///< move attempts consumed
-  long evals = 0;           ///< cost evaluations (accepted + rejected probes)
-  double seconds = 0.0;     ///< wall clock (informative; never bit-stable)
-  double best_cost = 0.0;   ///< final cost of this configuration
-  int unplaced = 0;
-  /// First move index at which this configuration's cost reached
-  /// target_cost (-1 = never, or no target set).
-  long target_move = -1;
 };
 
 struct StitchResult {
@@ -179,46 +116,22 @@ struct StitchResult {
   /// True when a watchdog budget (max_moves / max_seconds / cancel) cut the
   /// run short; the result is the best placement seen up to that point.
   bool watchdog_fired = false;
-  double seconds = 0.0;  ///< wall clock of the whole stitch (all configs)
-  /// Which raced configuration produced this result (0 when a single run).
-  /// For multi-start SA this is the historical winning restart index.
+  double seconds = 0.0;  ///< wall clock of the whole stitch (all restarts)
+  /// Which restart produced this result (0 when a single run).
   int restart_index = 0;
-  /// Moves summed over every raced configuration (== total_moves for a
-  /// single run).
+  /// Moves summed over every restart (== total_moves for a single run).
   long restart_moves = 0;
   /// (move index, cost) samples for convergence plots; one sample per
   /// temperature step / generation, downsampled by stride doubling to at
   /// most ~4096 entries so pathological schedules cannot grow the trace
-  /// unbounded. Always the WINNING configuration's trace only; `engine`
-  /// tags which engine produced it (the trace-text header carries the tag).
+  /// unbounded. Always the WINNING restart's trace only.
   std::vector<std::pair<long, double>> cost_trace;
   /// Fraction of device slices covered by placed macro rectangles.
   double coverage = 0.0;
-  /// Engine tag of the run that produced `positions` / `cost_trace`.
+  /// Engine tag of the run that produced `positions` / `cost_trace` (the
+  /// trace-text header carries the tag).
   std::string engine = "sa";
-  /// First move index at which the walk's cost reached target_cost
-  /// (-1 = never, or no target was set).
-  long target_move = -1;
-  /// Per-configuration breakdown of every raced engine run, in config-index
-  /// order. A plain single run carries one entry.
-  std::vector<EngineStats> engines;
 };
-
-/// One placement engine. A run is one deterministic configuration: the
-/// portfolio driver clamps restarts/jobs to 1 and derives the seed before
-/// calling, so implementations never fan out themselves.
-class Engine {
- public:
-  virtual ~Engine() = default;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  [[nodiscard]] virtual StitchResult run(const Device& device,
-                                         const StitchProblem& problem,
-                                         const StitchOptions& opts) const = 0;
-};
-
-/// Engine factory for the three concrete families (not Portfolio -- the
-/// portfolio driver is the caller, not a callee).
-[[nodiscard]] const Engine& engine_for(StitchEngine kind);
 
 /// Serialize a result's cost trace to the versioned text form used by the
 /// golden-trace regression fixtures:

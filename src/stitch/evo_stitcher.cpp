@@ -10,7 +10,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "stitch/analytic_placer.hpp"
 #include "stitch/placement_state.hpp"
 
 namespace mf {
@@ -72,33 +71,19 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
   std::vector<Individual> pop;
   pop.reserve(static_cast<std::size_t>(pop_size));
   {
-    // Individual 0 is deterministic: the analytic pre-placement under
-    // warm_start, the annealer's greedy order otherwise -- a quality floor
-    // the randomized individuals have to beat.
+    // Individual 0 is deterministic: the annealer's greedy order -- a
+    // quality floor the randomized individuals have to beat.
     PlacementState state(ctx);
-    if (opts.warm_start) {
-      const std::vector<BlockPlacement> warm =
-          analytic_placement(device, problem);
-      for (std::size_t i = 0; i < warm.size(); ++i) {
-        charge();
-        if (!warm[i].placed()) continue;
-        MF_CHECK(state.try_place(static_cast<int>(i), warm[i].col,
-                                 warm[i].row));
-        ++result.accepted;
+    for (int inst : ctx.greedy_order()) {
+      charge();
+      const int hit = state.first_free_anchor(inst);
+      if (hit < 0) {
+        ++result.illegal;
+        continue;
       }
-    } else {
-      for (int inst : ctx.greedy_order()) {
-        charge();
-        const int hit = state.first_free_anchor(inst);
-        if (hit < 0) {
-          ++result.illegal;
-          continue;
-        }
-        const auto& anchor =
-            ctx.anchors_of(inst)[static_cast<std::size_t>(hit)];
-        MF_CHECK(state.try_place(inst, anchor.first, anchor.second));
-        ++result.accepted;
-      }
+      const auto& anchor = ctx.anchors_of(inst)[static_cast<std::size_t>(hit)];
+      MF_CHECK(state.try_place(inst, anchor.first, anchor.second));
+      ++result.accepted;
     }
     pop.push_back({std::move(state), 0.0});
     pop.back().cost = pop.back().state.cost();
@@ -149,29 +134,19 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
 
   double best_cost = best_cost_of();
   result.cost_trace.emplace_back(result.total_moves, best_cost);
-  auto note_target = [&]() {
-    if (opts.target_cost > 0.0 && result.target_move < 0 &&
-        best_cost <= opts.target_cost) {
-      result.target_move = result.total_moves;
-    }
-  };
-  note_target();
 
   // -- generations ----------------------------------------------------------
   const std::size_t elite =
       std::max<std::size_t>(1, static_cast<std::size_t>(pop_size) / 2);
   double stagnant_best = best_cost;
   int stagnant = 0;
-  int generation = 0;
   std::vector<std::size_t> ranked(pop.size());
   while (result.total_moves < budget) {
-    if (opts.evo_generations > 0 && generation >= opts.evo_generations) break;
     if ((opts.cancel != nullptr && opts.cancel->cancelled()) ||
         (opts.max_seconds > 0.0 && timer.seconds() >= opts.max_seconds)) {
       result.watchdog_fired = true;
       break;
     }
-    ++generation;
 
     // A budget that ran dry mid-generation can have shrunk the population.
     ranked.resize(pop.size());
@@ -268,7 +243,6 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
 
     best_cost = best_cost_of();
     result.cost_trace.emplace_back(result.total_moves, best_cost);
-    note_target();
     if (best_cost < stagnant_best * 0.999) {
       stagnant_best = best_cost;
       stagnant = 0;
@@ -285,10 +259,6 @@ StitchResult stitch_evo(const Device& device, const StitchProblem& problem,
   PlacementState& final_state = pop[winner].state;
   final_state.greedy_fill();
   finalize_from_state(ctx, final_state, result);
-  if (opts.target_cost > 0.0 && result.target_move < 0 &&
-      result.cost <= opts.target_cost) {
-    result.target_move = result.total_moves;
-  }
   result.restart_moves = result.total_moves;
   result.seconds = timer.seconds();
   return result;

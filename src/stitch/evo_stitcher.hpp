@@ -10,11 +10,11 @@
 //
 // RapidLayout (PAPERS.md) showed this family beating SA on FPGA hard-block
 // placement because crossover teleports whole sub-layouts instead of walking
-// them cell by cell; here it is one configuration in the portfolio race
-// rather than a replacement.
+// them cell by cell; here it is the fast alternative to the paper-faithful
+// annealer rather than a replacement.
 //
 // Deterministic: one RNG seeded with opts.seed drives the entire run on a
-// single thread; the portfolio fans out configurations, never this engine.
+// single thread; stitch() fans out multi-start restarts, never this engine.
 
 #include "fabric/device.hpp"
 #include "stitch/engine.hpp"

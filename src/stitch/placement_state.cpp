@@ -1,7 +1,6 @@
 #include "stitch/placement_state.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -99,23 +98,6 @@ bool PlacementState::try_move(int instance, int col, int row) {
   return true;
 }
 
-void PlacementState::unplace(int instance) {
-  const auto i = static_cast<std::size_t>(instance);
-  const BlockPlacement& p = positions_[i];
-  if (!p.placed()) return;
-  clear_cells(instance, p.col, p.row);
-  cost_engine_.unplace(instance);
-  positions_[i] = BlockPlacement{};
-  ++unplaced_;
-}
-
-void PlacementState::clear() {
-  grid_.reset();
-  cost_engine_.clear();
-  positions_.assign(positions_.size(), BlockPlacement{});
-  unplaced_ = static_cast<int>(positions_.size());
-}
-
 int PlacementState::first_free_anchor(int instance) const {
   const auto& candidates = ctx_->anchors_of(instance);
   const Macro& macro = ctx_->macro_of(instance);
@@ -125,33 +107,6 @@ int PlacementState::first_free_anchor(int instance) const {
     if (grid_.region_free(candidates[i].first, candidates[i].second, w, h)) {
       return static_cast<int>(i);
     }
-  }
-  return -1;
-}
-
-int PlacementState::nearest_free_anchor(int instance, double col,
-                                        double row) const {
-  const auto& candidates = ctx_->anchors_of(instance);
-  const Macro& macro = ctx_->macro_of(instance);
-  const int w = macro.footprint.width();
-  const int h = macro.footprint.height;
-  // Probe anchors in ascending Manhattan distance from the target point so
-  // the first free one is the answer; ties resolve to the lowest anchor
-  // index (stable sort over a distance-only key). The sort is O(A log A)
-  // once per snap, which beats probing every anchor's footprint on crowded
-  // grids where most probes fail.
-  std::vector<std::pair<double, int>> order;
-  order.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double d = std::abs(candidates[i].first - col) +
-                     std::abs(candidates[i].second - row);
-    order.emplace_back(d, static_cast<int>(i));
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [dist, idx] : order) {
-    const auto& [c, r] = candidates[static_cast<std::size_t>(idx)];
-    if (grid_.region_free(c, r, w, h)) return idx;
   }
   return -1;
 }

@@ -1,11 +1,11 @@
 #pragma once
-// Shared placement machinery for the non-SA stitcher engines.
+// Placement machinery for the evolutionary stitcher engine.
 //
-// The analytic pre-placer and the evolutionary engine both need the same
-// three ingredients the annealer keeps fused into its hot loop: the legal
-// anchor lists per macro (footprint-compatible positions), the bitset
-// occupancy grid, and the incremental HPWL engine so a single-block move
-// costs O(move) instead of O(netlist). PlacementContext holds the immutable
+// The evolutionary engine needs the same three ingredients the annealer
+// keeps fused into its hot loop: the legal anchor lists per macro
+// (footprint-compatible positions), the bitset occupancy grid, and the
+// incremental HPWL engine so a single-block move costs O(move) instead of
+// O(netlist). PlacementContext holds the immutable
 // per-problem geometry (shared by every individual in a population);
 // PlacementState is one mutable placement with cached cost -- value-copyable
 // so evolutionary individuals can be cloned for crossover.
@@ -94,17 +94,8 @@ class PlacementState {
   /// destination is occupied by another block. Self-overlap is legal.
   bool try_move(int instance, int col, int row);
 
-  void unplace(int instance);
-  void clear();
-
   /// First free anchor of the instance in (col, row) order, or -1.
   [[nodiscard]] int first_free_anchor(int instance) const;
-
-  /// Free anchor closest to the continuous point (col, row) by Manhattan
-  /// distance, ties to the lowest anchor index; -1 when none is free. The
-  /// analytic legalizer's snapping primitive.
-  [[nodiscard]] int nearest_free_anchor(int instance, double col,
-                                        double row) const;
 
   /// Greedy post-pass: repeatedly try to place every parked block (largest
   /// area first, then lowest index) at its first free anchor until nothing
@@ -122,9 +113,9 @@ class PlacementState {
   int unplaced_ = 0;
 };
 
-/// Coverage + converge_move bookkeeping shared by the engines' wrap-up:
-/// fills positions/unplaced/wirelength/cost/coverage/converge_move of
-/// `result` from the state and the already-recorded cost_trace.
+/// The evolutionary engine's wrap-up bookkeeping: fills positions/unplaced/
+/// wirelength/cost/coverage/converge_move of `result` from the state and
+/// the already-recorded cost_trace.
 void finalize_from_state(const PlacementContext& ctx,
                          const PlacementState& state, StitchResult& result);
 

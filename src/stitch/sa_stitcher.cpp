@@ -10,11 +10,11 @@
 #include "common/check.hpp"
 #include "common/indexed_set.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "stitch/analytic_placer.hpp"
+#include "stitch/evo_stitcher.hpp"
 #include "stitch/incremental_cost.hpp"
 #include "stitch/occupancy.hpp"
-#include "stitch/portfolio.hpp"
 
 namespace mf {
 namespace {
@@ -47,11 +47,7 @@ class Annealer {
   StitchResult run() {
     timer_.restart();
     prepare();
-    if (opts_.warm_start) {
-      warm_initial();
-    } else {
-      greedy_initial();
-    }
+    greedy_initial();
     anneal();
     final_fill();
     finish();
@@ -313,45 +309,13 @@ class Annealer {
     }
   }
 
-  /// Seed the walk with the deterministic analytic pre-placement instead of
-  /// the greedy order. The pre-placer's output is footprint-legal and
-  /// overlap-free by construction; the region_free probe below is a cheap
-  /// belt-and-braces guard against a future legalizer bug corrupting the
-  /// occupancy state.
-  void warm_initial() {
-    const std::vector<BlockPlacement> warm =
-        analytic_placement(device_, problem_);
-    MF_CHECK(warm.size() == positions_.size());
-    for (std::size_t i = 0; i < warm.size(); ++i) {
-      if (!warm[i].placed()) continue;
-      MF_CHECK(region_free(static_cast<int>(i), warm[i].col, warm[i].row));
-      place(static_cast<int>(i), warm[i].col, warm[i].row);
-    }
-  }
-
-  /// First-to-target bookkeeping: record the move index the walk's cost
-  /// first reached the target. Pure observation -- it never perturbs the
-  /// walk, so a targeted run stays move-for-move identical to an untargeted
-  /// one.
-  void note_target(double cost) {
-    if (opts_.target_cost > 0.0 && result_.target_move < 0 &&
-        cost <= opts_.target_cost) {
-      result_.target_move = result_.total_moves;
-    }
-  }
-
   // -- annealing ------------------------------------------------------------
   void anneal() {
     wirelength_ = full_wirelength();
     double cost = wirelength_ + penalty_ * unplaced_count();
-    // Warm starts quench from a low temperature: the pre-placement is
-    // already good, and the historical T0 would scramble it back to random
-    // before any downhill work happens. Cold starts keep the historical
-    // auto schedule bit-exactly.
-    const double auto_t0 = 0.2 * (device_.num_columns() + device_.rows());
     const double t0 = opts_.initial_temp > 0.0
                           ? opts_.initial_temp
-                          : (opts_.warm_start ? 0.05 * auto_t0 : auto_t0);
+                          : 0.2 * (device_.num_columns() + device_.rows());
     const int moves_per_temp =
         opts_.moves_per_temp > 0
             ? opts_.moves_per_temp
@@ -359,7 +323,6 @@ class Annealer {
     const double t_min = t0 * opts_.min_temp_ratio;
 
     record_trace(0, cost);
-    note_target(cost);
     double stagnant_best = cost;
     int stagnant_temps = 0;
     double best_cost = cost;
@@ -383,11 +346,9 @@ class Annealer {
         if (opts_.place_retry_every > 0 &&
             result_.total_moves % opts_.place_retry_every == 0 &&
             try_unpark(cost)) {
-          note_target(cost);
           continue;
         }
         displace_move(temp, cost);
-        note_target(cost);
       }
       record_trace(result_.total_moves, cost);
 #if !defined(NDEBUG)
@@ -718,8 +679,6 @@ class Annealer {
     result_.unplaced = unplaced_count();
     result_.wirelength = wirelength_;
     result_.cost = cost_;
-    // final_fill can push the cost through the target after the walk ends.
-    note_target(cost_);
 
     long covered = 0;
     for (std::size_t i = 0; i < positions_.size(); ++i) {
@@ -816,17 +775,35 @@ StitchResult stitch(const Device& device, const StitchProblem& problem,
   if (const auto error = stitch_options_error(opts)) {
     MF_CHECK_MSG(false, *error);
   }
-  // Historical fast path: a single SA configuration runs the annealer
-  // directly with opts.seed -- move for move the pre-portfolio behaviour.
-  // Everything else (multi-start, other engines, races) is a portfolio of
-  // one-or-more configurations.
-  if (opts.engine == StitchEngine::Sa && opts.restarts == 1) {
-    StitchResult result = stitch_sa_single(device, problem, opts);
-    result.engines.push_back(
-        engine_stats_of(result, 0, opts.seed, opts.warm_start));
-    return result;
+  auto run_one = [&](std::uint64_t seed) {
+    StitchOptions one = opts;
+    one.seed = seed;
+    return opts.engine == StitchEngine::Evo
+               ? stitch_evo(device, problem, one)
+               : stitch_sa_single(device, problem, one);
+  };
+  if (opts.restarts == 1) return run_one(opts.seed);
+
+  // Multi-start: restart k is an isolated run seeded with
+  // task_seed(seed, "restart:<k>") that writes a pre-sized slot, and the
+  // lowest cost wins with ties to the lowest k -- so the result is
+  // bit-identical at any `jobs` value.
+  Timer timer;
+  std::vector<StitchResult> runs(static_cast<std::size_t>(opts.restarts));
+  parallel_for_each(opts.jobs, runs.size(), [&](std::size_t k) {
+    runs[k] = run_one(task_seed(opts.seed, "restart:" + std::to_string(k)));
+  });
+  std::size_t best = 0;
+  long all_moves = 0;
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    all_moves += runs[k].total_moves;
+    if (runs[k].cost < runs[best].cost) best = k;
   }
-  return run_portfolio(device, problem, opts);
+  StitchResult result = std::move(runs[best]);
+  result.restart_index = static_cast<int>(best);
+  result.restart_moves = all_moves;
+  result.seconds = timer.seconds();
+  return result;
 }
 
 }  // namespace mf

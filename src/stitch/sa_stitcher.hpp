@@ -21,23 +21,23 @@
 // reference engine, which `StitchOptions::reference_engine` keeps available
 // for differential tests and benches.
 //
-// The option/result types and the Engine interface live in stitch/engine.hpp;
-// `stitch()` below is the front door that dispatches to the requested engine
-// (SA stays the default) or to the portfolio race (stitch/portfolio.hpp).
+// The option/result types live in stitch/engine.hpp; `stitch()` below is the
+// front door that dispatches to the requested engine (SA stays the default,
+// evo is stitch/evo_stitcher) and runs the multi-start restarts.
 
 #include "stitch/engine.hpp"
 
 namespace mf {
 
 /// Solve a stitch problem with the engine selected by `opts.engine`.
-/// The default (SA, restarts = 1) is the historical single-start annealer,
-/// move for move; everything else routes through the portfolio driver.
+/// restarts = 1 runs that engine once with `opts.seed` -- for the default
+/// SA, the historical single-start annealer move for move; restarts = K > 1
+/// keeps the best of K task_seed-derived runs, fanned out over `opts.jobs`.
 StitchResult stitch(const Device& device, const StitchProblem& problem,
                     const StitchOptions& opts = {});
 
-/// One SA run for one configuration (restarts/jobs ignored; `opts.seed` used
-/// directly; honours `opts.warm_start` via the analytic pre-placer). This is
-/// the SA engine the portfolio races.
+/// One SA run (restarts/jobs ignored; `opts.seed` used directly). This is
+/// the SA engine `stitch()` runs once per restart.
 StitchResult stitch_sa_single(const Device& device,
                               const StitchProblem& problem,
                               const StitchOptions& opts);

@@ -43,8 +43,9 @@ expect 2 "corrupt bundle file" \
 # 2 -- malformed stitch options fail fast (validated before any flow work
 # starts, never silently falling back to the SA engine).
 expect 2 "unknown stitch engine" "$CLI" cnv --stitch-engine frobnicate
+expect 2 "removed portfolio engine" "$CLI" cnv --stitch-engine portfolio
+expect 2 "engine list" "$CLI" cnv --stitch-engine sa,evo
 expect 2 "stitch population below 2" "$CLI" cnv --stitch-population 1
-expect 2 "non-positive stitch budget" "$CLI" cnv --stitch-budget 0
 
 # 130 -- cancelled: a deadline that expires immediately. The flow must still
 # exit cleanly (drain + checkpoint), just with the distinct status.

@@ -32,7 +32,9 @@ TEST_F(EstimatorFixture, GroundTruthIsUsable) {
 TEST_F(EstimatorFixture, UntrainedEstimatorRejectsQueries) {
   CfEstimator est(EstimatorKind::DecisionTree, FeatureSet::Additional);
   EXPECT_FALSE(est.trained());
-  EXPECT_THROW(est.predict_row({0.1, 0.2, 0.3, 0.4, 0.5, 0.6}), CheckError);
+  EXPECT_THROW(
+      static_cast<void>(est.predict_row({0.1, 0.2, 0.3, 0.4, 0.5, 0.6})),
+      CheckError);
 }
 
 TEST_F(EstimatorFixture, FeatureSetMismatchRejected) {

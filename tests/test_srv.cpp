@@ -654,7 +654,7 @@ TEST(SrvCoalescer, FullBatchFlushesWithoutWaitingForTheBudget) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&coalescer] {
-      const BatchResult result = coalescer.submit_wait({"c", "m", {1.0}});
+      const BatchResult result = coalescer.submit_wait({"c", "m", {1.0}, {}});
       EXPECT_TRUE(result.ok);
     });
   }
@@ -672,7 +672,7 @@ TEST(SrvCoalescer, LoneRowFlushesWhenTheBudgetExpires) {
                         return std::vector<BatchResult>(items.size(),
                                                         {true, 2.0, 0, {}});
                       });
-  const BatchResult result = coalescer.submit_wait({"c", "m", {1.0}});
+  const BatchResult result = coalescer.submit_wait({"c", "m", {1.0}, {}});
   EXPECT_TRUE(result.ok);
   EXPECT_GE(coalescer.stats().budget_flushes, 1u);
 }
@@ -688,7 +688,7 @@ TEST(SrvCoalescer, DestructorDrainsPendingRows) {
                               items.size(), {true, 3.0, 0, {}});
                         });
     for (int i = 0; i < 5; ++i) {
-      tickets.push_back(coalescer.submit({"c", "m", {double(i)}}));
+      tickets.push_back(coalescer.submit({"c", "m", {double(i)}, {}}));
     }
     for (const auto& ticket : tickets) {
       EXPECT_TRUE(coalescer.wait(ticket).ok);

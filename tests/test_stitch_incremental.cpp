@@ -11,14 +11,16 @@
 //      from-scratch recompute under 10k random place / move / unplace ops.
 //
 // Plus the multi-start determinism contract: restarts = K is bit-identical
-// at any `jobs` value, the winner is the argmin over the per-restart
-// task_seed runs (lowest index on ties), and restarts = 1 is the plain
-// single anneal.
+// at any `jobs` value (MF_TEST_JOBS workers, default 8; ctest re-runs the
+// multi-start tests with 8 in `stitch_portfolio_jobs`), the winner is the
+// argmin over the per-restart task_seed runs (lowest index on ties), and
+// restarts = 1 is the plain single anneal.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -99,6 +101,14 @@ StitchOptions golden_opts(std::uint64_t seed) {
   opts.moves_per_temp = 150;
   opts.cooling = 0.85;
   return opts;
+}
+
+int env_jobs() {
+  if (const char* jobs = std::getenv("MF_TEST_JOBS")) {
+    const int n = std::atoi(jobs);
+    if (n > 0) return n;
+  }
+  return 8;
 }
 
 void expect_identical(const StitchResult& a, const StitchResult& b) {
@@ -205,7 +215,7 @@ TEST(StitchIncremental, MultiStartIdenticalAtAnyJobs) {
   opts.restarts = 8;
   opts.jobs = 1;
   const StitchResult sequential = stitch(dev, problem, opts);
-  opts.jobs = 8;
+  opts.jobs = env_jobs();
   const StitchResult parallel = stitch(dev, problem, opts);
   expect_identical(sequential, parallel);
   EXPECT_EQ(sequential.restart_index, parallel.restart_index);
@@ -243,7 +253,7 @@ TEST(StitchIncremental, SingleRestartIsThePlainAnneal) {
   const StitchProblem problem = mixed_problem(dev);
   StitchOptions multi = golden_opts(3);
   multi.restarts = 1;
-  multi.jobs = 8;  // must not matter at restarts = 1
+  multi.jobs = env_jobs();  // must not matter at restarts = 1
   const StitchResult a = stitch(dev, problem, multi);
   const StitchResult b = stitch(dev, problem, golden_opts(3));
   expect_identical(a, b);

@@ -117,10 +117,8 @@ int usage() {
       "  predict <module> (--model FILE | --name NAME [--registry DIR]\n"
       "          [--socket PATH])\n"
       "  cnv [--xdc FILE] [--dot FILE] [--jobs N] [--model FILE-or-NAME]\n"
-      "      [--stitch-engine sa|evo|analytic|portfolio|LIST]\n"
-      "      [--stitch-restarts K] [--stitch-jobs N] [--stitch-budget N]\n"
-      "      [--stitch-target C] [--stitch-population N]\n"
-      "      [--stitch-warm-start] [--checkpoint FILE]\n"
+      "      [--stitch-engine sa|evo] [--stitch-restarts K]\n"
+      "      [--stitch-jobs N] [--stitch-population N] [--checkpoint FILE]\n"
       "      [--deadline-seconds S]\n"
       "  convert <input> <output> [--to text|binary]\n"
       "  serve (--socket PATH | --stdio) [--registry DIR] [--jobs N]\n"
@@ -155,22 +153,15 @@ int usage() {
       "--registry: model-bundle directory (default $MACROFLOW_MODEL_DIR or\n"
       "./macroflow-models). `estimate` serves a matching bundle from it and\n"
       "only trains (then saves) on a miss; `predict` never trains.\n"
-      "--stitch-engine: stitch placement engine, or a comma list of engines\n"
-      "to race ('portfolio' = analytic,sa,evo; winner = lowest cost, ties\n"
-      "to the lowest config index). Unknown names are an error, never a\n"
-      "silent fallback.\n"
-      "--stitch-restarts: independent runs per raced engine, best result\n"
-      "wins (default 1 = the single-start run).\n"
-      "--stitch-jobs: worker threads for the raced configurations (same 0/1\n"
-      "semantics and bit-identical guarantee as --jobs).\n"
-      "--stitch-budget: move budget per raced configuration (> 0;\n"
-      "default = each engine's natural schedule).\n"
-      "--stitch-target: first-to-target race -- the config reaching this\n"
-      "cost in the fewest moves wins (> 0; default off).\n"
+      "--stitch-engine: stitch placement engine, 'sa' (simulated annealing,\n"
+      "the default) or 'evo' (evolutionary search). Unknown names are an\n"
+      "error, never a silent fallback.\n"
+      "--stitch-restarts: independent runs of the engine, lowest cost wins\n"
+      "with ties to the lowest restart (default 1 = the single-start run).\n"
+      "--stitch-jobs: worker threads for the restarts (same 0/1 semantics\n"
+      "and bit-identical guarantee as --jobs).\n"
       "--stitch-population: evolutionary population size (>= 2,\n"
       "default 12).\n"
-      "--stitch-warm-start: seed SA / evolutionary individual 0 with the\n"
-      "deterministic analytic pre-placement.\n"
       "serve: answers 'ESTIMATE <client> <model> <f1..fN>' lines with\n"
       "'OK <cf>' / 'ERR <code> <reason>'; also INFO <model>, STATS, PING,\n"
       "and TRACE <id> (per-request queue wait, batch size, and predict\n"
@@ -642,11 +633,11 @@ int cmd_cnv(const std::string& xdc_path, const std::string& dot_path,
               result.total_tool_runs, result.failed_blocks,
               result.stitch.unplaced, result.problem.instances.size(),
               timer.seconds());
-  if (result.stitch.engines.size() > 1) {
-    std::printf("stitch race: %zu configs, winner '%s' (config %d, cost "
-                "%.1f)\n",
-                result.stitch.engines.size(), result.stitch.engine.c_str(),
-                result.stitch.restart_index, result.stitch.cost);
+  if (stitch.restarts > 1) {
+    std::printf("stitch multi-start: %d restarts, winner restart %d ('%s', "
+                "cost %.1f)\n",
+                stitch.restarts, result.stitch.restart_index,
+                result.stitch.engine.c_str(), result.stitch.cost);
   }
   if (!xdc_path.empty()) {
     if (!write_file(xdc_path,
@@ -656,34 +647,6 @@ int cmd_cnv(const std::string& xdc_path, const std::string& dot_path,
     std::printf("floorplan constraints written to %s\n", xdc_path.c_str());
   }
   return kExitOk;
-}
-
-/// Parse --stitch-engine: one engine name, or a comma-separated list which
-/// becomes a portfolio racing exactly those engines. False on any unknown
-/// name (the caller reports and exits 2 -- no silent SA fallback).
-bool parse_stitch_engines(const char* text, StitchOptions& stitch) {
-  std::vector<StitchEngine> list;
-  const std::string input = text;
-  std::size_t begin = 0;
-  while (begin <= input.size()) {
-    const std::size_t comma = input.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? input.size() : comma;
-    const std::optional<StitchEngine> parsed =
-        stitch_engine_from_string(input.substr(begin, end - begin));
-    if (!parsed) return false;
-    list.push_back(*parsed);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  if (list.empty()) return false;
-  if (list.size() == 1) {
-    stitch.engine = list.front();
-    stitch.portfolio.clear();
-  } else {
-    stitch.engine = StitchEngine::Portfolio;
-    stitch.portfolio = std::move(list);
-  }
-  return true;
 }
 
 /// Comma-separated positive-double list ("0.5,0.9") for --grid.
@@ -1248,15 +1211,17 @@ int dispatch(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--stitch-engine") == 0) {
         const char* text = option_value(argc, argv, i, "--stitch-engine");
         if (text == nullptr) return 1;
-        if (!parse_stitch_engines(text, stitch)) {
+        const std::optional<StitchEngine> engine =
+            stitch_engine_from_string(text);
+        if (!engine) {
           // A typo'd engine must fail the run (exit 2), never silently fall
           // back to SA.
           std::fprintf(stderr,
-                       "unknown stitch engine in '%s' (expected sa, evo, "
-                       "analytic, portfolio, or a comma list to race)\n",
+                       "unknown stitch engine '%s' (expected sa or evo)\n",
                        text);
           return kExitRuntime;
         }
+        stitch.engine = *engine;
       } else if (std::strcmp(argv[i], "--stitch-restarts") == 0) {
         const std::optional<int> parsed =
             parse_int_option(argc, argv, i, "--stitch-restarts", 1, 4096);
@@ -1267,30 +1232,6 @@ int dispatch(int argc, char** argv) {
             parse_int_option(argc, argv, i, "--stitch-jobs", 0, 1024);
         if (!parsed) return 1;
         stitch.jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--stitch-budget") == 0) {
-        const char* text = option_value(argc, argv, i, "--stitch-budget");
-        if (text == nullptr) return 1;
-        const std::optional<long> parsed = parse_number<long>(text);
-        if (!parsed || *parsed <= 0) {
-          std::fprintf(stderr,
-                       "invalid value '%s' for --stitch-budget (expected a "
-                       "positive move count)\n",
-                       text);
-          return kExitRuntime;
-        }
-        stitch.engine_budget = *parsed;
-      } else if (std::strcmp(argv[i], "--stitch-target") == 0) {
-        const char* text = option_value(argc, argv, i, "--stitch-target");
-        if (text == nullptr) return 1;
-        const std::optional<double> parsed = parse_double(text);
-        if (!parsed || !(*parsed > 0.0)) {
-          std::fprintf(stderr,
-                       "invalid value '%s' for --stitch-target (expected a "
-                       "positive cost)\n",
-                       text);
-          return kExitRuntime;
-        }
-        stitch.target_cost = *parsed;
       } else if (std::strcmp(argv[i], "--stitch-population") == 0) {
         // Parse permissively; population < 2 is rejected by the library's
         // fail-fast validation in cmd_cnv (exit 2).
@@ -1298,8 +1239,6 @@ int dispatch(int argc, char** argv) {
             parse_int_option(argc, argv, i, "--stitch-population", 0, 65536);
         if (!parsed) return 1;
         stitch.evo_population = *parsed;
-      } else if (std::strcmp(argv[i], "--stitch-warm-start") == 0) {
-        stitch.warm_start = true;
       } else if (std::strcmp(argv[i], "--model") == 0) {
         const char* text = option_value(argc, argv, i, "--model");
         if (text == nullptr) return 1;

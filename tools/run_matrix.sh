@@ -10,9 +10,9 @@
 # stops the run with that flavour's name on stderr. This is the one-command
 # pre-merge gate: the farm chaos suites, the parallel-engine suites, the
 # serving suites, the persistence gate (bench_persist_quick: binary
-# load >= 10x text, text<->binary byte-identity), and the stitcher
-# portfolio gates (bench_stitch_quick: portfolio >= 1.5x time-to-equal-cost
-# or >= 5% cost-at-equal-budget vs lone SA, plus the stitch_portfolio_jobs
+# load >= 10x text, text<->binary byte-identity), the stitcher engine
+# gates (bench_stitch_quick: evo at least 1.5x faster than SA in min-of-3
+# wall clock at no worse cost, plus the stitch_portfolio_jobs multi-start
 # bit-identity rerun at MF_TEST_JOBS=8), and the serving-daemon gates
 # (bench_serving_load_quick: >= 5x coalesced QPS with bit-identical
 # responses, p99 within the coalesce budget + slack, canary rollback with
