@@ -21,6 +21,25 @@ struct AttemptResult {
   FlowError error;
 };
 
+/// One feasibility check in `pb`: through the tool-run layer when a runner
+/// is set, otherwise a direct placement, which always completes.
+ToolRunner::CheckOutcome check_in_pblock(const Module& module,
+                                         const ResourceReport& report,
+                                         const Device& device, const PBlock& pb,
+                                         double cf,
+                                         const CfSearchOptions& opts) {
+  const auto place = [&] {
+    return place_in_pblock(module, report, device, pb, opts.place);
+  };
+  if (opts.runner != nullptr) {
+    return opts.runner->run_check(module.name, cf, place);
+  }
+  ToolRunner::CheckOutcome out;
+  out.completed = true;
+  out.place = place();
+  return out;
+}
+
 AttemptResult attempt_cf(const Module& module, const ResourceReport& report,
                          const ShapeReport& shape, const Device& device,
                          double cf, const CfSearchOptions& opts) {
@@ -28,19 +47,13 @@ AttemptResult attempt_cf(const Module& module, const ResourceReport& report,
   const std::optional<PBlock> pb =
       generate_pblock(device, report, shape, cf, opts.pblock);
   if (!pb) return result;
-  if (opts.runner != nullptr) {
-    ToolRunner::CheckOutcome out = opts.runner->run_check(
-        module.name, cf,
-        [&] { return place_in_pblock(module, report, device, *pb, opts.place); });
-    if (!out.completed) {
-      result.error = std::move(out.error);
-      return result;
-    }
-    result.attempt = Attempt{*pb, std::move(out.place)};
+  ToolRunner::CheckOutcome out =
+      check_in_pblock(module, report, device, *pb, cf, opts);
+  if (!out.completed) {
+    result.error = std::move(out.error);
     return result;
   }
-  result.attempt =
-      Attempt{*pb, place_in_pblock(module, report, device, *pb, opts.place)};
+  result.attempt = Attempt{*pb, std::move(out.place)};
   return result;
 }
 
@@ -70,27 +83,19 @@ CfSearchResult find_min_cf(const Module& module, const ResourceReport& report,
       continue;
     }
     last_tried = *pb;
-    PlaceResult place;
-    if (opts.runner != nullptr) {
-      ToolRunner::CheckOutcome out = opts.runner->run_check(
-          module.name, cf, [&] {
-            return place_in_pblock(module, report, device, *pb, opts.place);
-          });
-      if (!out.completed) {
-        result.error = std::move(out.error);
-        return result;
-      }
-      place = std::move(out.place);
-    } else {
-      place = place_in_pblock(module, report, device, *pb, opts.place);
+    ToolRunner::CheckOutcome out =
+        check_in_pblock(module, report, device, *pb, cf, opts);
+    if (!out.completed) {
+      result.error = std::move(out.error);
+      return result;
     }
     ++result.tool_runs;
-    last_feasible = place.feasible;
-    if (place.feasible) {
+    last_feasible = out.place.feasible;
+    if (out.place.feasible) {
       result.found = true;
       result.min_cf = cf;
       result.pblock = *pb;
-      result.place = std::move(place);
+      result.place = std::move(out.place);
       return result;
     }
   }

@@ -1,25 +1,17 @@
 #include "farm/supervisor.hpp"
 
-#include <signal.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <thread>
 #include <utility>
 
 #include "common/atomic_file.hpp"
+#include "common/supervise.hpp"
 #include "farm/worker.hpp"
 #include "flow/serialize.hpp"
 
@@ -41,65 +33,10 @@ struct Shard {
   ShardState state = ShardState::Pending;
   int attempt = 0;  ///< index of the next (or currently running) attempt
   pid_t pid = -1;
-  std::string beat;             ///< last heartbeat content observed
-  Clock::time_point last_beat;  ///< when `beat` last changed (or spawn time)
-  Clock::time_point ready_at;   ///< backoff expiry
-  std::string last_death;       ///< human-readable cause of the last crash
+  HeartbeatWatch heartbeat;    ///< hang detector for the running attempt
+  Clock::time_point ready_at;  ///< backoff expiry
+  std::string last_death;      ///< human-readable cause of the last crash
 };
-
-std::string describe_status(int status) {
-  if (WIFEXITED(status)) {
-    return "exit " + std::to_string(WEXITSTATUS(status));
-  }
-  if (WIFSIGNALED(status)) {
-    return "signal " + std::to_string(WTERMSIG(status));
-  }
-  return "status " + std::to_string(status);
-}
-
-/// Fork/exec one worker attempt. The child moves into its own process group
-/// (so a terminal SIGINT reaches only the supervisor, which then delivers
-/// exactly one cooperative SIGTERM per worker) and, on Linux, asks for
-/// SIGTERM on parent death so an uncleanly killed supervisor cannot leak a
-/// fleet. Returns -1 when fork fails.
-pid_t spawn_worker(const std::string& exe, const FarmWorkerArgs& args) {
-  const std::vector<std::string> tail = farm_worker_argv(args);
-  std::vector<char*> argv;
-  argv.reserve(tail.size() + 2);
-  argv.push_back(const_cast<char*>(exe.c_str()));
-  for (const std::string& arg : tail) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) return -1;
-  if (pid == 0) {
-    (void)setpgid(0, 0);
-#ifdef __linux__
-    (void)prctl(PR_SET_PDEATHSIG, SIGTERM);
-    if (getppid() == 1) _exit(127);  // supervisor died before prctl took
-#endif
-    execv(exe.c_str(), argv.data());
-    _exit(127);
-  }
-  // Both sides set the process group so a kill(-pid) immediately after
-  // spawn cannot race the child's own setpgid.
-  (void)setpgid(pid, pid);
-  return pid;
-}
-
-/// Signal a worker's whole process group, falling back to the pid alone if
-/// the group is already gone.
-void signal_worker(pid_t pid, int signo) {
-  if (kill(-pid, signo) != 0) (void)kill(pid, signo);
-}
-
-double backoff_ms(const FarmOptions& options, int attempt) {
-  const double exp =
-      options.backoff_base_ms * std::ldexp(1.0, std::max(0, attempt - 1));
-  return std::min(exp, options.backoff_cap_ms);
-}
 
 void say(const FarmOptions& options, const char* fmt, ...) {
   if (options.quiet) return;
@@ -157,7 +94,8 @@ void handle_death(const FarmOptions& options, FarmResult& result, int index,
     say(options, "[farm] shard %d quarantined (%s)\n", index, cause.c_str());
     return;
   }
-  const double delay = backoff_ms(options, shard.attempt);
+  const double delay = capped_backoff_ms(
+      options.backoff_base_ms, options.backoff_cap_ms, shard.attempt);
   result.respawns += 1;
   shard.state = ShardState::Backoff;
   shard.ready_at =
@@ -165,45 +103,6 @@ void handle_death(const FarmOptions& options, FarmResult& result, int index,
                          std::chrono::duration<double, std::milli>(delay));
   say(options, "[farm] shard %d died (%s); respawning attempt %d in %.0fms\n",
       index, cause.c_str(), shard.attempt, delay);
-}
-
-/// Cancel teardown: one cooperative SIGTERM per worker (workers checkpoint
-/// and exit 130), escalate to SIGKILL after the grace window, reap
-/// everything so no zombie outlives the farm.
-void tear_down(const FarmOptions& options, std::vector<Shard>& shards) {
-  for (Shard& shard : shards) {
-    if (shard.state == ShardState::Running && shard.pid > 0) {
-      signal_worker(shard.pid, SIGTERM);
-    }
-  }
-  const Clock::time_point kill_at =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(options.grace_seconds));
-  bool escalated = false;
-  for (;;) {
-    bool any_alive = false;
-    for (Shard& shard : shards) {
-      if (shard.state != ShardState::Running || shard.pid <= 0) continue;
-      int status = 0;
-      const pid_t got = waitpid(shard.pid, &status, WNOHANG);
-      if (got == shard.pid || (got < 0 && errno == ECHILD)) {
-        shard.pid = -1;
-        shard.state = ShardState::Pending;  // resumable next run
-      } else {
-        any_alive = true;
-      }
-    }
-    if (!any_alive) return;
-    if (!escalated && Clock::now() >= kill_at) {
-      escalated = true;
-      for (Shard& shard : shards) {
-        if (shard.state == ShardState::Running && shard.pid > 0) {
-          signal_worker(shard.pid, SIGKILL);
-        }
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
 }
 
 /// Merge every grid block's done shards into its dataset file and fold the
@@ -268,15 +167,6 @@ bool merge_farm(const FarmOptions& options, const FarmManifest& manifest,
 }
 
 }  // namespace
-
-std::string self_executable_path() {
-#ifdef __linux__
-  std::error_code ec;
-  const fs::path exe = fs::read_symlink("/proc/self/exe", ec);
-  if (!ec) return exe.string();
-#endif
-  return {};
-}
 
 FarmResult run_farm(const FarmOptions& options) {
   FarmResult result;
@@ -346,7 +236,13 @@ FarmResult run_farm(const FarmOptions& options) {
 
   while (settled < result.shards_total) {
     if (options.cancel != nullptr && options.cancel->cancelled()) {
-      tear_down(options, shards);
+      // One cooperative SIGTERM per worker (workers checkpoint and exit
+      // 130), SIGKILL after the grace window, no zombie outlives the farm.
+      std::vector<pid_t> running;
+      for (const Shard& shard : shards) {
+        if (shard.state == ShardState::Running) running.push_back(shard.pid);
+      }
+      terminate_and_reap(running, options.grace_seconds);
       result.cancelled = true;
       say(options, "[farm] cancelled; %d/%d shards settled\n", settled,
           result.shards_total);
@@ -372,7 +268,7 @@ FarmResult run_farm(const FarmOptions& options) {
         continue;
       }
       const std::string cause = got == shard.pid
-                                    ? describe_status(status)
+                                    ? describe_wait_status(status)
                                     : std::string("waitpid failure");
       handle_death(options, result, i, shard, cause);
       if (shard.state == ShardState::Quarantined) ++settled;
@@ -381,32 +277,20 @@ FarmResult run_farm(const FarmOptions& options) {
     // Hang detection: heartbeat *content* unchanged for too long means the
     // worker is alive but stuck (chaos Hang, a wedged tool run); SIGKILL it
     // and let the reap path treat it as a crash.
-    const Clock::time_point now = Clock::now();
     for (int i = 0; i < result.shards_total; ++i) {
       Shard& shard = shards[static_cast<std::size_t>(i)];
       if (shard.state != ShardState::Running) continue;
-      const std::optional<std::string> beat =
-          read_file(farm_shard_heartbeat_path(options.dir, i));
-      if (beat && *beat != shard.beat) {
-        shard.beat = *beat;
-        shard.last_beat = now;
-        continue;
-      }
-      const double stale =
-          std::chrono::duration<double>(now - shard.last_beat).count();
-      if (stale > hang_timeout) {
+      if (const std::optional<double> stale =
+              kill_if_stale(shard.heartbeat, shard.pid, hang_timeout)) {
         say(options, "[farm] shard %d heartbeat stale for %.1fs; killing\n", i,
-            stale);
-        signal_worker(shard.pid, SIGKILL);
+            *stale);
         result.hung_killed += 1;
-        // Reset the clock so the kill is delivered once; the reap loop
-        // notices the signal death on a later poll.
-        shard.last_beat = now;
       }
     }
 
     // Spawn: fill idle worker slots with the lowest ready shard (work
     // stealing -- any slot takes any shard; outputs do not depend on it).
+    const Clock::time_point now = Clock::now();
     int running = 0;
     for (const Shard& shard : shards) {
       running += shard.state == ShardState::Running ? 1 : 0;
@@ -422,7 +306,10 @@ FarmResult run_farm(const FarmOptions& options) {
       args.dir = options.dir;
       args.shard = i;
       args.attempt = shard.attempt;
-      const pid_t pid = spawn_worker(exe, args);
+      // The worker leads its own process group, so a terminal SIGINT
+      // reaches only the supervisor, which then delivers exactly one
+      // cooperative SIGTERM per worker.
+      const pid_t pid = spawn_in_own_group(exe, farm_worker_argv(args));
       if (pid < 0) {
         handle_death(options, result, i, shard, "fork failure");
         if (shard.state == ShardState::Quarantined) ++settled;
@@ -430,8 +317,8 @@ FarmResult run_farm(const FarmOptions& options) {
       }
       shard.state = ShardState::Running;
       shard.pid = pid;
-      shard.beat.clear();
-      shard.last_beat = Clock::now();
+      shard.heartbeat =
+          watch_heartbeat(farm_shard_heartbeat_path(options.dir, i));
       result.spawns += 1;
       ++running;
     }

@@ -79,8 +79,4 @@ struct FarmResult {
 /// Run a farm to completion, cancellation, or fatal error.
 FarmResult run_farm(const FarmOptions& options);
 
-/// Path of the running executable (for FarmOptions::worker_exe defaulting);
-/// empty when it cannot be resolved.
-[[nodiscard]] std::string self_executable_path();
-
 }  // namespace mf

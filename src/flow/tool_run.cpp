@@ -1,10 +1,10 @@
 #include "flow/tool_run.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/supervise.hpp"
 
 namespace mf {
 
@@ -180,12 +180,10 @@ ToolRunner::CheckOutcome ToolRunner::run_check(
       ++state.retries_used;
       ++state.stats.retries;
       // Capped exponential backoff, accounted rather than slept: attempt 1
-      // waits base, attempt 2 waits base*factor, ... up to the cap.
-      double wait = opts_.retry.backoff_base_ms;
-      for (int i = 1; i < outcome.attempts; ++i) {
-        wait *= opts_.retry.backoff_factor;
-      }
-      state.stats.backoff_ms += std::min(wait, opts_.retry.backoff_cap_ms);
+      // waits base, attempt 2 waits base*2, ... up to the cap.
+      state.stats.backoff_ms +=
+          capped_backoff_ms(opts_.retry.backoff_base_ms,
+                            opts_.retry.backoff_cap_ms, outcome.attempts);
       continue;
     }
     // The invocation completes and yields a verdict: one paper tool run.

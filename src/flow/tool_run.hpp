@@ -107,8 +107,8 @@ struct RetryOptions {
   /// across all of its checks -- RapidLayout-style "give up on a block that
   /// keeps burning the cluster".
   int retry_budget_per_block = 16;
+  /// Retry n waits min(cap, base * 2^(n-1)) (capped_backoff_ms).
   double backoff_base_ms = 50.0;
-  double backoff_factor = 2.0;
   double backoff_cap_ms = 2000.0;
 };
 

@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <thread>
 
 #include "common/check.hpp"
 #include "common/io_util.hpp"
 #include "common/parse_num.hpp"
+#include "common/supervise.hpp"
 #include "srv/protocol.hpp"
 
 namespace mf {
@@ -89,9 +89,8 @@ void ServeClient::drop_connection() {
 }
 
 void ServeClient::backoff_sleep(int attempt, Clock::time_point deadline) {
-  const int exp = std::min(attempt - 1, 20);
-  double ms = options_.backoff_base_ms * std::ldexp(1.0, exp);
-  if (ms > options_.backoff_cap_ms) ms = options_.backoff_cap_ms;
+  double ms = capped_backoff_ms(options_.backoff_base_ms,
+                                options_.backoff_cap_ms, attempt);
   // Deterministic jitter in [0.5, 1.0)x: decorrelates a fleet of clients
   // hammering a respawning daemon while staying replayable per seed.
   ms *= 0.5 + 0.5 * jitter_.uniform();

@@ -1,34 +1,23 @@
 #include "srv/supervised.hpp"
 
-#include <signal.h>
-#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "common/parse_num.hpp"
-#include "farm/supervisor.hpp"
+#include "common/supervise.hpp"
 #include "srv/server.hpp"
 
 namespace mf {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-Clock::duration seconds_duration(double s) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(s));
-}
 
 void say(const SupervisedOptions& options, const char* fmt, ...) {
   if (options.quiet) return;
@@ -38,23 +27,8 @@ void say(const SupervisedOptions& options, const char* fmt, ...) {
   va_end(args);
 }
 
-/// Whole heartbeat file as a string; "" when unreadable (treated as "no
-/// beat yet", not as a failure -- the file appears after the child's first
-/// snapshot interval).
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Signal the child's whole process group, falling back to the pid alone
-/// (same helper as the farm supervisor's signal topology).
-void signal_child(pid_t pid, int signo) {
-  if (::kill(-pid, signo) != 0) (void)::kill(pid, signo);
-}
-
+/// Fork/exec one daemon generation on the inherited listening descriptor
+/// (every "{LISTEN_FD}" argument becomes its number).
 pid_t spawn_child(const SupervisedOptions& options, int listen_fd,
                   std::string* error) {
   const std::string exe =
@@ -64,55 +38,13 @@ pid_t spawn_child(const SupervisedOptions& options, int listen_fd,
     return -1;
   }
   std::vector<std::string> args;
-  args.reserve(options.child_args.size() + 1);
-  args.push_back(exe);
+  args.reserve(options.child_args.size());
   for (const std::string& arg : options.child_args) {
     args.push_back(arg == "{LISTEN_FD}" ? std::to_string(listen_fd) : arg);
   }
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    *error = std::string("fork(): ") + std::strerror(errno);
-    return -1;
-  }
-  if (pid == 0) {
-    // Child: own process group (so teardown kills the whole subtree),
-    // SIGTERM on supervisor death, orphan guard, then exec. Only
-    // async-signal-safe calls between fork and exec.
-    (void)::setpgid(0, 0);
-    (void)::prctl(PR_SET_PDEATHSIG, SIGTERM);
-    if (::getppid() == 1) ::_exit(127);  // supervisor died before prctl took
-    ::execv(exe.c_str(), argv.data());
-    ::_exit(127);
-  }
-  // Both sides set the group so a kill(-pid) right after spawn cannot race
-  // the child's own setpgid.
-  (void)::setpgid(pid, pid);
+  const pid_t pid = spawn_in_own_group(exe, args);
+  if (pid < 0) *error = std::strerror(errno);
   return pid;
-}
-
-/// SIGTERM, wait out the grace window, SIGKILL, reap. Returns the child's
-/// wait status (0 when it was already gone).
-int tear_down(const SupervisedOptions& options, pid_t pid) {
-  signal_child(pid, SIGTERM);
-  const Clock::time_point kill_at =
-      Clock::now() + seconds_duration(options.grace_seconds);
-  bool escalated = false;
-  for (;;) {
-    int status = 0;
-    const pid_t got = ::waitpid(pid, &status, WNOHANG);
-    if (got == pid) return status;
-    if (got < 0 && errno != EINTR) return 0;
-    if (!escalated && Clock::now() >= kill_at) {
-      signal_child(pid, SIGKILL);
-      escalated = true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
 }
 
 }  // namespace
@@ -150,33 +82,30 @@ SupervisedResult run_supervised(const SupervisedOptions& options) {
     result.error = error;
     return result;
   }
-
-  const auto cancelled = [&] {
-    return options.cancel != nullptr && options.cancel->cancelled();
+  // Every way out releases the listener and its socket file.
+  const auto finish = [&](int exit_code) {
+    ::close(listen_fd);
+    ::unlink(options.socket_path.c_str());
+    result.exit_code = exit_code;
+    return result;
   };
-  const auto backoff = [&](int attempt) {
-    const double ms = std::min(
-        options.backoff_cap_ms,
-        options.backoff_base_ms * std::ldexp(1.0, std::min(attempt, 20)));
+  // Crash n waits min(cap, base * 2^n): step n + 1 of the shared schedule.
+  const auto respawn_delay = [&](int crash_count) {
     return std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(ms));
+        std::chrono::duration<double, std::milli>(capped_backoff_ms(
+            options.backoff_base_ms, options.backoff_cap_ms,
+            crash_count + 1)));
   };
 
   pid_t child = -1;
   int crash_count = 0;
   Clock::time_point respawn_at = Clock::now();
-  std::string last_beat;
-  Clock::time_point beat_seen = Clock::now();
-  const Clock::duration beat_budget =
-      seconds_duration(options.heartbeat_timeout_s);
+  HeartbeatWatch heartbeat;
 
   for (;;) {
-    if (cancelled()) {
-      if (child > 0) (void)tear_down(options, child);
-      ::close(listen_fd);
-      ::unlink(options.socket_path.c_str());
-      result.exit_code = 130;
-      return result;
+    if (options.cancel != nullptr && options.cancel->cancelled()) {
+      if (child > 0) terminate_and_reap({child}, options.grace_seconds);
+      return finish(130);
     }
 
     if (child <= 0 && Clock::now() >= respawn_at) {
@@ -185,18 +114,14 @@ SupervisedResult run_supervised(const SupervisedOptions& options) {
         // fork/exe failure counts against the same budget as a crash.
         ++crash_count;
         if (crash_count > options.max_respawns) {
-          ::close(listen_fd);
-          ::unlink(options.socket_path.c_str());
           result.error = "spawn failed: " + error;
-          result.exit_code = 2;
-          return result;
+          return finish(2);
         }
-        respawn_at = Clock::now() + backoff(crash_count);
+        respawn_at = Clock::now() + respawn_delay(crash_count);
       } else {
         ++result.spawns;
         if (result.spawns > 1) ++result.respawns;
-        last_beat = slurp(options.heartbeat_path);
-        beat_seen = Clock::now();
+        heartbeat = watch_heartbeat(options.heartbeat_path);
         if (options.on_spawn) options.on_spawn(child);
         say(options, "[serve] daemon generation %ld up (pid %d)\n",
             result.spawns, static_cast<int>(child));
@@ -205,51 +130,31 @@ SupervisedResult run_supervised(const SupervisedOptions& options) {
 
     if (child > 0) {
       int status = 0;
-      const pid_t got = ::waitpid(child, &status, WNOHANG);
-      if (got == child) {
-        const bool clean = WIFEXITED(status) && (WEXITSTATUS(status) == 0 ||
-                                                 WEXITSTATUS(status) == 130);
-        if (clean) {
+      if (::waitpid(child, &status, WNOHANG) == child) {
+        if (WIFEXITED(status) &&
+            (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 130)) {
           // The daemon shut itself down on purpose (EOF / direct signal);
           // mirror its code rather than second-guessing it.
-          ::close(listen_fd);
-          ::unlink(options.socket_path.c_str());
-          result.exit_code = WEXITSTATUS(status);
-          return result;
+          return finish(WEXITSTATUS(status));
         }
         child = -1;
         ++crash_count;
-        say(options, "[serve] daemon died (%s %d); respawn %d/%d\n",
-            WIFSIGNALED(status) ? "signal" : "exit",
-            WIFSIGNALED(status) ? WTERMSIG(status)
-                                : (WIFEXITED(status) ? WEXITSTATUS(status)
-                                                     : status),
-            crash_count,
+        say(options, "[serve] daemon died (%s); respawn %d/%d\n",
+            describe_wait_status(status).c_str(), crash_count,
             options.max_respawns == INT_MAX ? -1 : options.max_respawns);
         if (crash_count > options.max_respawns) {
-          ::close(listen_fd);
-          ::unlink(options.socket_path.c_str());
           result.error = "daemon keeps dying; respawn budget exhausted";
-          result.exit_code = 2;
-          return result;
+          return finish(2);
         }
-        respawn_at = Clock::now() + backoff(crash_count);
+        respawn_at = Clock::now() + respawn_delay(crash_count);
         continue;
       }
-      if (!options.heartbeat_path.empty()) {
-        std::string beat = slurp(options.heartbeat_path);
-        if (!beat.empty() && beat != last_beat) {
-          last_beat = std::move(beat);
-          beat_seen = Clock::now();
-        } else if (Clock::now() - beat_seen > beat_budget) {
-          // Alive but wedged: content stopped changing. Kill hard; the
-          // reap branch above turns it into a respawn next poll.
-          say(options, "[serve] heartbeat stale for %.1fs; killing pid %d\n",
-              options.heartbeat_timeout_s, static_cast<int>(child));
-          signal_child(child, SIGKILL);
-          ++result.hung_kills;
-          beat_seen = Clock::now();  // deliver the kill once
-        }
+      // Alive but wedged: the content stopped changing, so the child was
+      // SIGKILLed and the reap branch above respawns it on a later poll.
+      if (kill_if_stale(heartbeat, child, options.heartbeat_timeout_s)) {
+        say(options, "[serve] heartbeat stale for %.1fs; killing pid %d\n",
+            options.heartbeat_timeout_s, static_cast<int>(child));
+        ++result.hung_kills;
       }
     }
 

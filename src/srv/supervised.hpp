@@ -2,18 +2,16 @@
 // Supervised self-healing mode for `macroflow serve`
 // (DESIGN.md section 14).
 //
-// run_supervised() turns the daemon into a two-process tree with the same
-// signal topology as the farm supervisor (src/farm/supervisor.hpp):
+// run_supervised() turns the daemon into a two-process tree on the shared
+// supervision kernel (src/common/supervise.hpp: own process group,
+// parent-death signal, capped backoff, heartbeat hang detection,
+// SIGTERM -> grace -> SIGKILL teardown). What is serve's own is the policy:
 //
-//   supervisor: binds + owns the Unix-domain listening socket, fork/execs
-//               one daemon child per generation, watches a heartbeat file,
-//               respawns with capped exponential backoff, and tears the
-//               child down (SIGTERM -> grace -> SIGKILL) on cancellation;
-//   child:      own process group, PR_SET_PDEATHSIG + getppid() guard
-//               against orphaning, inherits the *listening* descriptor
-//               (the `{LISTEN_FD}` placeholder in child_args is replaced
-//               with its number) and serves on it via
-//               ServerOptions::listen_fd.
+//   supervisor: binds + owns the Unix-domain listening socket, spawns one
+//               daemon child per generation, and respawns crashes;
+//   child:      inherits the *listening* descriptor (the `{LISTEN_FD}`
+//               placeholder in child_args is replaced with its number) and
+//               serves on it via ServerOptions::listen_fd.
 //
 // The socket handoff is the availability trick: the listener -- and the
 // socket file -- survive a daemon crash, so clients connecting during a
@@ -21,13 +19,11 @@
 // ECONNREFUSED, and a ServeClient retry turns a kill -9 under load into
 // nothing worse than a latency blip.
 //
-// Liveness is heartbeat-*content* staleness, exactly like the farm: the
-// child refreshes its stats-JSON snapshot every stats interval (uptime_s
-// alone guarantees the bytes change), so a child that is alive-but-wedged
-// stops changing the file and is SIGKILLed after heartbeat_timeout_s, then
-// respawned. A child that exits 0 (or 130 after the supervisor's own
-// teardown) ends the supervision loop with that code; any other death is a
-// crash and respawns until max_respawns.
+// The heartbeat is the child's stats-JSON snapshot, refreshed every stats
+// interval (uptime_s alone guarantees the bytes change). A child that exits
+// 0 (or 130 after the supervisor's own teardown) ends the supervision loop
+// with that code; any other death is a crash and respawns until
+// max_respawns.
 
 #include <climits>
 #include <functional>

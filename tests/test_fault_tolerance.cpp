@@ -158,7 +158,6 @@ TEST(ToolRunner, RetryCountersAndBackoffAreExact) {
   auto opts = chaos_options(1.0, 0.0, 0.0);
   opts.retry.max_attempts_per_check = 4;
   opts.retry.backoff_base_ms = 50.0;
-  opts.retry.backoff_factor = 2.0;
   opts.retry.backoff_cap_ms = 2000.0;
   ToolRunner runner(opts);
   const auto out = runner.run_check("b", 1.5, [] { return feasible_place(); });
@@ -179,12 +178,11 @@ TEST(ToolRunner, BackoffIsCapped) {
   auto opts = chaos_options(0.0, 1.0, 0.0);
   opts.retry.max_attempts_per_check = 4;
   opts.retry.backoff_base_ms = 100.0;
-  opts.retry.backoff_factor = 10.0;
   opts.retry.backoff_cap_ms = 150.0;
   ToolRunner runner(opts);
   const auto out = runner.run_check("b", 1.0, [] { return feasible_place(); });
   EXPECT_EQ(out.error.kind, FlowErrorKind::ToolTimeout);
-  // 100 + capped(1000 -> 150) + capped(10000 -> 150).
+  // 100 + capped(200 -> 150) + capped(400 -> 150).
   EXPECT_DOUBLE_EQ(runner.stats().backoff_ms, 400.0);
 }
 

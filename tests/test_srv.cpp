@@ -10,9 +10,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -678,22 +680,28 @@ TEST(SrvCoalescer, LoneRowFlushesWhenTheBudgetExpires) {
 }
 
 TEST(SrvCoalescer, DestructorDrainsPendingRows) {
-  // Long budget, small submits, immediate destruction: the dtor must flush
-  // the queue (shutdown skips the batch window) instead of deadlocking.
-  std::vector<std::shared_ptr<Coalescer::Ticket>> tickets;
-  {
-    Coalescer coalescer(CoalescerOptions{10e6, 1000, 2000},
-                        [](const std::vector<BatchItem>& items) {
-                          return std::vector<BatchResult>(
-                              items.size(), {true, 3.0, 0, {}});
-                        });
-    for (int i = 0; i < 5; ++i) {
-      tickets.push_back(coalescer.submit({"c", "m", {double(i)}, {}}));
-    }
-    for (const auto& ticket : tickets) {
-      EXPECT_TRUE(coalescer.wait(ticket).ok);
-    }
+  // Long budget, five rows still pending, then destruction: the dtor must
+  // flush them at once (shutdown skips the batch window) instead of sitting
+  // out the budget, deadlocking, or dropping rows.
+  const double budget_us = 10e6;
+  std::vector<double> flushed;  // written by the flush thread before join
+  auto coalescer = std::make_unique<Coalescer>(
+      CoalescerOptions{budget_us, 1000, 2000},
+      [&flushed](const std::vector<BatchItem>& items) {
+        for (const BatchItem& item : items) flushed.push_back(item.row[0]);
+        return std::vector<BatchResult>(items.size(), {true, 3.0, 0, {}});
+      });
+  for (int i = 0; i < 5; ++i) {
+    (void)coalescer->submit({"c", "m", {double(i)}, {}});
   }
+  EXPECT_EQ(coalescer->stats().flushes, 0u);  // all five still queued
+  const auto start = std::chrono::steady_clock::now();
+  coalescer.reset();
+  const double took = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  EXPECT_EQ(flushed, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
+  EXPECT_LT(took, budget_us / 1e6 / 2);
 }
 
 // -- version-pinned service prediction --------------------------------------
