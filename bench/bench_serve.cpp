@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -79,25 +81,30 @@ int main(int argc, char** argv) {
   spec.options.rforest.trees = quick ? 120 : 300;
   spec.jobs = 0;
 
-  // -- cold path: the full train recipe (labelled sweep + forest) ---------
-  Timer train_timer;
-  const ModelBundle trained = train_bundle(spec, dev);
-  const double train_s = train_timer.seconds();
-  std::printf("trained '%s' (%s, %lld rows, holdout mean rel err %.3f): "
-              "%.1f ms\n",
-              trained.name.c_str(), to_string(trained.estimator.kind()),
-              static_cast<long long>(trained.provenance.dataset_rows),
-              trained.provenance.holdout_mean_rel_err, train_s * 1e3);
-
+  // -- cold vs warm path, best of N each ----------------------------------
+  // Retrain (the full recipe: labelled sweep + forest) and warm registry
+  // resolve alternate rep by rep, so both sides of the ratio see the same
+  // CPU state (a host that warms up mid-run would otherwise flatter one).
   ModelRegistry registry(registry_dir);
-  MF_CHECK_MSG(registry.put(trained).has_value(),
-               "registry directory not writable");
-
-  // -- warm path: resolve the stored bundle, best of N --------------------
   const int reps = quick ? 3 : 5;
+  ModelBundle trained;
+  double train_s = 0.0;
   double load_s = 0.0;
   std::optional<ModelBundle> loaded;
   for (int rep = 0; rep < reps; ++rep) {
+    Timer train_timer;
+    ModelBundle bundle = train_bundle(spec, dev);
+    const double t = train_timer.seconds();
+    if (rep == 0 || t < train_s) train_s = t;
+    if (rep == 0) {
+      trained = std::move(bundle);
+      std::printf("trained '%s' (%s, %lld rows, holdout mean rel err %.3f)\n",
+                  trained.name.c_str(), to_string(trained.estimator.kind()),
+                  static_cast<long long>(trained.provenance.dataset_rows),
+                  trained.provenance.holdout_mean_rel_err);
+      MF_CHECK_MSG(registry.put(trained).has_value(),
+                   "registry directory not writable");
+    }
     Timer load_timer;
     loaded = registry.resolve("bench");
     const double s = load_timer.seconds();
@@ -105,9 +112,10 @@ int main(int argc, char** argv) {
     if (rep == 0 || s < load_s) load_s = s;
   }
   const double speedup = load_s > 0.0 ? train_s / load_s : 0.0;
-  std::printf("warm registry load: %.2f ms -> %.0fx faster than retraining "
-              "(acceptance target >= 10x)\n",
-              load_s * 1e3, speedup);
+  std::printf("retrain %.1f ms, warm registry load %.2f ms (best of %d "
+              "each) -> %.0fx faster than retraining (acceptance target "
+              ">= 10x)\n",
+              train_s * 1e3, load_s * 1e3, reps, speedup);
   MF_CHECK_MSG(speedup >= 10.0,
                "warm bundle load must beat retraining by >= 10x");
 

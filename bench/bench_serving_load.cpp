@@ -120,24 +120,27 @@ double quantile_99(std::vector<double>& values) {
   return values[index];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Daemon-child mode first: the supervised phase re-executes this binary.
-  if (const std::optional<int> code = maybe_run_serve_child(argc, argv)) {
-    return *code;
+/// Trips `cancel` and joins `thread` when the scope ends, so a failed
+/// MF_CHECK unwinds to main -- which removes the scratch directory --
+/// instead of destroying a joinable thread.
+class StopAndJoin {
+ public:
+  StopAndJoin(CancelToken& cancel, std::thread& thread)
+      : cancel_(cancel), thread_(thread) {}
+  StopAndJoin(const StopAndJoin&) = delete;
+  StopAndJoin& operator=(const StopAndJoin&) = delete;
+  ~StopAndJoin() {
+    cancel_.cancel();
+    if (thread_.joinable()) thread_.join();
   }
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  bench::banner("serving daemon: coalesced batching, tail latency, canary "
-                "rollback, chaos recovery",
-                "estimator serving for the CF predictions of Section V");
 
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("mf_bench_srv_" + std::to_string(::getpid())))
-          .string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+ private:
+  CancelToken& cancel_;
+  std::thread& thread_;
+};
+
+/// The four phases; every violated claim throws out of here (MF_CHECK).
+int run(bool quick, const std::string& dir) {
   const std::string socket_path = dir + "/serve.sock";
 
   ModelRegistry registry(dir);
@@ -157,7 +160,9 @@ int main(int argc, char** argv) {
   options.reload_poll_seconds = 0.02;
   options.cancel = &cancel;
   EstimatorServer server(options);
-  std::thread daemon([&server] { MF_CHECK(server.run() == 130); });
+  int daemon_code = 0;
+  std::thread daemon([&server, &daemon_code] { daemon_code = server.run(); });
+  const StopAndJoin stop_daemon(cancel, daemon);
 
   // -- 1. closed-loop baseline: one request at a time ----------------------
   // Every lone request waits out the full coalesce window by itself, so
@@ -286,6 +291,7 @@ int main(int argc, char** argv) {
   // -- shutdown: SIGINT-equivalent trip, daemon drains and exits 130 -------
   cancel.cancel();
   daemon.join();
+  MF_CHECK(daemon_code == 130);
 
   // -- 4. supervised chaos recovery ----------------------------------------
   // A fresh daemon under the serve supervisor (this binary re-executed via
@@ -311,6 +317,7 @@ int main(int argc, char** argv) {
   sup.on_spawn = [&child_pid](pid_t pid) { child_pid.store(pid); };
   SupervisedResult sup_result;
   std::thread supervisor([&] { sup_result = run_supervised(sup); });
+  const StopAndJoin stop_supervisor(sup_cancel, supervisor);
 
   using SteadyClock = std::chrono::steady_clock;
   struct Sample {
@@ -374,20 +381,23 @@ int main(int argc, char** argv) {
     while (chaos_done.load() < kill_after) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    // The kill's checks wait until the client threads are joined: a check
+    // that throws past running threads would terminate the process.
     const pid_t pid = child_pid.load();
-    MF_CHECK_MSG(pid > 0, "supervised daemon never spawned");
-    MF_CHECK(::kill(pid, SIGKILL) == 0);
+    const bool killed = pid > 0 && ::kill(pid, SIGKILL) == 0;
     const SteadyClock::time_point kill_at = SteadyClock::now();
     // Hold the phase open until the supervisor has actually respawned --
     // cancelling first would race its poll loop and tear down a dead sock.
-    for (int i = 0; i < 2000 && child_pid.load() == pid; ++i) {
+    for (int i = 0; killed && i < 2000 && child_pid.load() == pid; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    MF_CHECK_MSG(child_pid.load() != pid,
-                 "supervisor never respawned the killed daemon");
+    const bool respawned = killed && child_pid.load() != pid;
     for (std::thread& thread : threads) thread.join();
     sup_cancel.cancel();
     supervisor.join();
+    MF_CHECK_MSG(pid > 0, "supervised daemon never spawned");
+    MF_CHECK_MSG(killed, "SIGKILL of the supervised daemon failed");
+    MF_CHECK_MSG(respawned, "supervisor never respawned the killed daemon");
 
     std::vector<double> chaos_lat;
     std::vector<double> recovery_lat;
@@ -458,8 +468,34 @@ int main(int argc, char** argv) {
     json += buf;
     if (!bench::write_bench_json("BENCH_SERVING.json", json)) return 1;
   }
+  return 0;
+}
 
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Daemon-child mode first: the supervised phase re-executes this binary.
+  if (const std::optional<int> code = maybe_run_serve_child(argc, argv)) {
+    return *code;
+  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  bench::banner("serving daemon: coalesced batching, tail latency, canary "
+                "rollback, chaos recovery",
+                "estimator serving for the CF predictions of Section V");
+
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("mf_bench_srv_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  int code = 1;
+  try {
+    code = run(quick, dir);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_serving_load: %s\n", error.what());
+  }
   std::error_code ec;
   fs::remove_all(dir, ec);
-  return 0;
+  return code;
 }

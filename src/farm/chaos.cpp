@@ -5,39 +5,27 @@
 #include <string>
 #include <thread>
 
-#include "common/rng.hpp"
+#include "common/fault_draw.hpp"
 
 namespace mf {
 
-const char* to_string(FarmChaos::Action action) noexcept {
-  switch (action) {
-    case FarmChaos::Action::None:
-      return "none";
-    case FarmChaos::Action::Kill:
-      return "kill";
-    case FarmChaos::Action::Hang:
-      return "hang";
-    case FarmChaos::Action::Slow:
-      return "slow";
-  }
-  return "?";
-}
-
 FarmChaos::Action FarmChaos::draw(int shard, int attempt, int ordinal) const {
   if (!opts_.enabled || ordinal < 1) return Action::None;
-  const std::string key = "farm-chaos:s" + std::to_string(shard) + ":a" +
-                          std::to_string(attempt) + ":b" +
-                          std::to_string(ordinal);
-  Rng rng(task_seed(opts_.seed, key));
-  const double roll = rng.uniform();
+  const double roll = fault_roll(
+      opts_.seed, "farm-chaos:s" + std::to_string(shard) + ":a" +
+                      std::to_string(attempt) + ":b" +
+                      std::to_string(ordinal));
+  constexpr Action kBuckets[] = {Action::Kill, Action::Hang, Action::Slow,
+                                 Action::None};
+  const Action action =
+      kBuckets[fault_pick(roll, {opts_.p_kill, opts_.p_hang, opts_.p_slow})];
   // Kill/hang are real faults and respect the per-shard eligibility budget;
-  // slow is benign and always eligible.
-  if (attempt < opts_.faults_per_shard) {
-    if (roll < opts_.p_kill) return Action::Kill;
-    if (roll < opts_.p_kill + opts_.p_hang) return Action::Hang;
+  // an ineligible attempt's fault roll runs slow instead (always benign).
+  if (attempt >= opts_.faults_per_shard &&
+      (action == Action::Kill || action == Action::Hang)) {
+    return Action::Slow;
   }
-  if (roll < opts_.p_kill + opts_.p_hang + opts_.p_slow) return Action::Slow;
-  return Action::None;
+  return action;
 }
 
 void FarmChaos::execute(Action action, double slow_ms) {

@@ -65,6 +65,4 @@ class FarmChaos {
   FarmChaosOptions opts_;
 };
 
-[[nodiscard]] const char* to_string(FarmChaos::Action action) noexcept;
-
 }  // namespace mf

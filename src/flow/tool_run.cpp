@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/fault_draw.hpp"
 #include "common/rng.hpp"
 #include "common/supervise.hpp"
 
@@ -38,12 +39,9 @@ std::string to_string(const FlowError& error) {
 }
 
 FaultInjector::FaultInjector(const FaultInjectorOptions& opts) : opts_(opts) {
-  MF_CHECK_MSG(opts.p_crash >= 0.0 && opts.p_timeout >= 0.0 &&
-                   opts.p_spurious_infeasible >= 0.0,
-               "fault probabilities must be non-negative");
-  MF_CHECK_MSG(
-      opts.p_crash + opts.p_timeout + opts.p_spurious_infeasible <= 1.0,
-      "fault probabilities must sum to <= 1");
+  MF_CHECK_MSG(fault_probabilities_valid({opts.p_crash, opts.p_timeout,
+                                          opts.p_spurious_infeasible}),
+               "fault probabilities must be >= 0 and sum to <= 1");
 }
 
 FaultKind FaultInjector::draw(std::string_view block, int ordinal) const {
@@ -56,12 +54,11 @@ FaultKind FaultInjector::draw(std::string_view block, int ordinal) const {
   state ^= splitmix64(state) ^ static_cast<std::uint64_t>(ordinal);
   const std::uint64_t word = splitmix64(state);
   const double u = static_cast<double>(word >> 11) * 0x1.0p-53;
-  if (u < opts_.p_crash) return FaultKind::Crash;
-  if (u < opts_.p_crash + opts_.p_timeout) return FaultKind::Timeout;
-  if (u < opts_.p_crash + opts_.p_timeout + opts_.p_spurious_infeasible) {
-    return FaultKind::SpuriousInfeasible;
-  }
-  return FaultKind::None;
+  constexpr FaultKind kBuckets[] = {FaultKind::Crash, FaultKind::Timeout,
+                                    FaultKind::SpuriousInfeasible,
+                                    FaultKind::None};
+  return kBuckets[fault_pick(
+      u, {opts_.p_crash, opts_.p_timeout, opts_.p_spurious_infeasible})];
 }
 
 ToolRunner::ToolRunner(const ToolRunnerOptions& opts)

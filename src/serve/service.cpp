@@ -25,6 +25,13 @@ EstimatorService::EstimatorService(std::string registry_dir,
   MF_CHECK_MSG(options_.batch_grain >= 1, "batch grain must be >= 1");
 }
 
+Breaker& EstimatorService::breaker_for(const std::string& model) {
+  return breakers_
+      .try_emplace(model, options_.breaker_failure_threshold,
+                   options_.breaker_cooldown_seconds)
+      .first->second;
+}
+
 std::shared_ptr<const ModelBundle> EstimatorService::acquire(
     const std::string& model, int version) {
   // A pinned version gets its own LRU slot: the daemon's canary routing
@@ -44,23 +51,11 @@ std::shared_ptr<const ModelBundle> EstimatorService::acquire(
     }
     // Open breaker: skip the registry entirely until the cool-down expires
     // (a broken registry must not cost a directory scan + parse attempt per
-    // request). When it has expired, let exactly this call through as the
-    // half-open probe and push retry_at forward so concurrent requests keep
-    // serving the fallback while the probe is in flight.
-    if (!pinned && options_.breaker_failure_threshold > 0) {
-      BreakerState& breaker = breakers_[model];
-      if (breaker.open) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now < breaker.retry_at) {
-          last_error_ = "circuit open for '" + model + "'";
-          return nullptr;
-        }
-        breaker.retry_at =
-            now + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(
-                          options_.breaker_cooldown_seconds));
-      }
+    // request); the breaker then lets exactly one half-open probe through.
+    if (!pinned && options_.breaker_failure_threshold > 0 &&
+        !breaker_for(model).allow(std::chrono::steady_clock::now())) {
+      last_error_ = "circuit open for '" + model + "'";
+      return nullptr;
     }
   }
   // Resolve outside the lock: disk + parse is the slow path, and two
@@ -91,21 +86,10 @@ std::shared_ptr<const ModelBundle> EstimatorService::acquire(
                             " bundle(s) named '" + model +
                             "' rejected: " + resolve_stats.last_error;
     ++stats_.resolve_failures;
-    if (options_.breaker_failure_threshold > 0) {
-      BreakerState& breaker = breakers_[model];
-      ++breaker.consecutive_failures;
-      const bool trip =
-          !breaker.open && breaker.consecutive_failures >=
-                               options_.breaker_failure_threshold;
-      if (trip) ++stats_.breaker_trips;  // closed -> open edge
-      if (trip || breaker.open) {        // failed half-open probe re-arms
-        breaker.open = true;
-        breaker.retry_at =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(
-                    options_.breaker_cooldown_seconds));
-      }
+    if (options_.breaker_failure_threshold > 0 &&
+        breaker_for(model).on_failure(std::chrono::steady_clock::now()) ==
+            Breaker::Transition::Opened) {
+      ++stats_.breaker_trips;  // closed -> open edge
     }
     return nullptr;
   }

@@ -17,7 +17,6 @@
 //     monotonically increasing totals -- cheap enough at estimator-service
 //     granularity (one lock per request, never per row).
 
-#include <chrono>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -27,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/breaker.hpp"
 #include "common/histogram.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/registry.hpp"
@@ -119,15 +119,10 @@ class EstimatorService {
   }
 
  private:
-  /// Per-model circuit-breaker state (guarded by mutex_).
-  struct BreakerState {
-    int consecutive_failures = 0;
-    bool open = false;
-    std::chrono::steady_clock::time_point retry_at{};
-  };
-
   std::shared_ptr<const ModelBundle> acquire(const std::string& model,
                                              int version = 0);
+  /// The named model's breaker, created closed (caller holds mutex_).
+  Breaker& breaker_for(const std::string& model);
   void record_latency(std::uint64_t ns, std::uint64_t rows);
   /// Degraded-path bookkeeping for one request of `rows` rows served the
   /// constant fallback CF.
@@ -140,7 +135,7 @@ class EstimatorService {
   /// LRU: most-recently-used at the front; list nodes own the cache keys.
   std::list<std::pair<std::string, std::shared_ptr<const ModelBundle>>> lru_;
   std::unordered_map<std::string, decltype(lru_)::iterator> index_;
-  std::unordered_map<std::string, BreakerState> breakers_;
+  std::unordered_map<std::string, Breaker> breakers_;
   ServiceStats stats_;
   std::string last_error_;
 };

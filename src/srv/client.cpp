@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/fault_draw.hpp"
 #include "common/io_util.hpp"
 #include "common/parse_num.hpp"
 #include "common/supervise.hpp"
@@ -48,10 +49,8 @@ std::optional<std::string> client_options_error(const ClientOptions& o) {
     return "breaker cooldown must be > 0 when the breaker is enabled";
   }
   const NetChaosOptions& c = o.chaos;
-  const double p_sum =
-      c.p_sever + c.p_stall + c.p_truncate + c.p_duplicate + c.p_garbage;
-  if (c.p_sever < 0.0 || c.p_stall < 0.0 || c.p_truncate < 0.0 ||
-      c.p_duplicate < 0.0 || c.p_garbage < 0.0 || p_sum > 1.0) {
+  if (!fault_probabilities_valid({c.p_sever, c.p_stall, c.p_truncate,
+                                  c.p_duplicate, c.p_garbage})) {
     return "chaos probabilities must be >= 0 and sum to <= 1";
   }
   if (c.stall_ms < 0.0) return "chaos stall must be >= 0 ms";
@@ -67,7 +66,8 @@ std::optional<std::string> client_options_error(const ClientOptions& o) {
 ServeClient::ServeClient(ClientOptions options)
     : options_(std::move(options)),
       chaos_(options_.chaos),
-      jitter_(task_seed(options_.jitter_seed, options_.client_name)) {
+      jitter_(task_seed(options_.jitter_seed, options_.client_name)),
+      breaker_(options_.breaker_threshold, options_.breaker_cooldown_s) {
   const std::optional<std::string> error = client_options_error(options_);
   MF_CHECK_MSG(!error, error ? *error : "");
   ignore_sigpipe();
@@ -289,9 +289,7 @@ ServeClient::Result ServeClient::request(const std::string& line) {
     return result;
   };
 
-  // Sticky breaker: while open, fail fast until the cooldown passes; then
-  // exactly this request becomes the half-open probe.
-  if (breaker_open_ && start < breaker_until_) {
+  if (!breaker_.allow(start)) {
     ++stats_.breaker_fastfails;
     ++stats_.failures;
     result.error = "circuit breaker open";
@@ -350,22 +348,13 @@ ServeClient::Result ServeClient::request(const std::string& line) {
     } else {
       ++stats_.protocol_errors;
     }
-    consecutive_failures_ = 0;
-    breaker_open_ = false;
+    breaker_.on_success();
     return finish();
   }
   ++stats_.failures;
   result.error = error.empty() ? "retries exhausted" : error;
-  if (options_.breaker_threshold > 0) {
-    ++consecutive_failures_;
-    if (consecutive_failures_ >= options_.breaker_threshold) {
-      // Open (or re-arm after a failed half-open probe). The consecutive
-      // count only ever resets on a delivered response -- the stickiness.
-      breaker_open_ = true;
-      breaker_until_ =
-          Clock::now() + seconds_duration(options_.breaker_cooldown_s);
-      ++stats_.breaker_opens;
-    }
+  if (breaker_.on_failure(Clock::now()) != Breaker::Transition::None) {
+    ++stats_.breaker_opens;  // an open or a failed probe's re-arm
   }
   return finish();
 }

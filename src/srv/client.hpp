@@ -26,12 +26,11 @@
 // the classic match-by-order protocol and therefore must not be combined
 // with duplicate/garbage chaos.
 //
-// The circuit breaker mirrors the serve-side canary breaker's stickiness:
-// `breaker_threshold` *consecutive* failed requests open it; while open,
-// requests fail fast (no connect storm against a dead daemon) until
-// `breaker_cooldown_s` passes, then a single half-open probe either closes
-// it or re-opens it on the spot. The consecutive-failure count resets only
-// on a delivered response, never by time alone.
+// The circuit breaker is the shared common/breaker.hpp kernel: after
+// `breaker_threshold` *consecutive* failed requests, requests fail fast (no
+// connect storm against a dead daemon) until `breaker_cooldown_s` passes.
+// Only a delivered response counts as a success, never time alone; every
+// open and every re-arm after a failed probe counts in `breaker_opens`.
 
 #include <chrono>
 #include <cstdint>
@@ -39,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/breaker.hpp"
 #include "common/cancel.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
@@ -169,9 +169,7 @@ class ServeClient {
   std::uint64_t seq_ = 0;      ///< trace-id sequence
   int conn_ordinal_ = -1;      ///< chaos connection index
   int op_ordinal_ = 0;         ///< chaos operation index (monotonic)
-  int consecutive_failures_ = 0;
-  bool breaker_open_ = false;
-  Clock::time_point breaker_until_{};
+  Breaker breaker_;
   std::string last_trace_id_;
 };
 

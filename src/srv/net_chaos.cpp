@@ -1,26 +1,21 @@
 #include "srv/net_chaos.hpp"
 
+#include "common/fault_draw.hpp"
 #include "common/rng.hpp"
 
 namespace mf {
 
 NetChaos::Action NetChaos::draw(int conn, int op, bool send) const {
   if (!options_.enabled || op <= 0) return Action::None;
-  const std::string key = "net-chaos:c" + std::to_string(conn) + ":o" +
-                          std::to_string(op) + (send ? ":tx" : ":rx");
-  Rng rng(task_seed(options_.seed, key));
-  const double roll = rng.uniform();
-  double edge = options_.p_sever;
-  if (roll < edge) return Action::Sever;
-  edge += options_.p_stall;
-  if (roll < edge) return Action::Stall;
-  edge += options_.p_truncate;
-  if (roll < edge) return Action::Truncate;
-  edge += options_.p_duplicate;
-  if (roll < edge) return Action::Duplicate;
-  edge += options_.p_garbage;
-  if (roll < edge) return Action::Garbage;
-  return Action::None;
+  const double roll = fault_roll(
+      options_.seed, "net-chaos:c" + std::to_string(conn) + ":o" +
+                         std::to_string(op) + (send ? ":tx" : ":rx"));
+  constexpr Action kBuckets[] = {Action::Sever,     Action::Stall,
+                                 Action::Truncate,  Action::Duplicate,
+                                 Action::Garbage,   Action::None};
+  return kBuckets[fault_pick(
+      roll, {options_.p_sever, options_.p_stall, options_.p_truncate,
+             options_.p_duplicate, options_.p_garbage})];
 }
 
 NetChaos::Action NetChaos::next(int conn, int op, bool send) {
@@ -41,18 +36,6 @@ std::string NetChaos::garbage_line(int conn, int op) const {
                                        std::to_string(conn) + ":o" +
                                        std::to_string(op)));
   return "XCHAOS " + std::to_string(rng.u64()) + "\n";
-}
-
-const char* to_string(NetChaos::Action action) noexcept {
-  switch (action) {
-    case NetChaos::Action::None: return "none";
-    case NetChaos::Action::Sever: return "sever";
-    case NetChaos::Action::Stall: return "stall";
-    case NetChaos::Action::Truncate: return "truncate";
-    case NetChaos::Action::Duplicate: return "duplicate";
-    case NetChaos::Action::Garbage: return "garbage";
-  }
-  return "unknown";
 }
 
 }  // namespace mf

@@ -18,7 +18,7 @@
 //
 // Determinism: the decision for operation `op` of connection `conn` in
 // direction tx/rx is a pure function of (seed, conn, op, direction) -- one
-// uniform draw against cumulative probabilities, exactly like farm/chaos --
+// roll picked by the shared common/fault_draw.hpp kernel, like farm/chaos --
 // so a chaos campaign replays fault-for-fault from its seed. Operation 0 of
 // every connection never faults (each reconnect gets one clean boundary),
 // and `max_faults` bounds the total disruption so campaigns provably
@@ -80,7 +80,5 @@ class NetChaos {
   NetChaosOptions options_;
   int faults_ = 0;
 };
-
-const char* to_string(NetChaos::Action action) noexcept;
 
 }  // namespace mf

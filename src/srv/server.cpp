@@ -676,123 +676,84 @@ EstimatorServer::StatsView EstimatorServer::collect_stats() {
   view.quota_shed = quota_.shed_total();
   view.uptime_s =
       static_cast<double>(elapsed_ns(start_)) * 1e-9;
+  view.qps = view.uptime_s > 0.0
+                 ? static_cast<double>(view.server.requests) / view.uptime_s
+                 : 0.0;
   return view;
+}
+
+std::vector<std::pair<const char*, std::uint64_t>>
+EstimatorServer::StatsView::counters() const {
+  return {
+      {"requests", server.requests},
+      {"ok", server.ok},
+      {"err400", server.err_bad_request},
+      {"err404", server.err_no_model},
+      {"err429", server.err_over_quota},
+      {"err500", server.err_internal},
+      {"err503", server.err_shutdown},
+      {"p50_us", server.request_ns.quantile_max(0.5) / 1000},
+      {"p99_us", server.request_ns.quantile_max(0.99) / 1000},
+      {"predict_p50_us", service.latency.quantile_max(0.5) / 1000},
+      {"predict_p99_us", service.latency.quantile_max(0.99) / 1000},
+      {"rows", service.rows},
+      {"bundle_loads", service.bundle_loads},
+      {"lru_hits", service.lru_hits},
+      {"flushes", coalescer.flushes},
+      {"full_flushes", coalescer.full_flushes},
+      {"budget_flushes", coalescer.budget_flushes},
+      {"batch_p50", coalescer.batch_fill.quantile_max(0.5)},
+      {"batch_p99", coalescer.batch_fill.quantile_max(0.99)},
+      {"queue_p50", coalescer.queue_depth.quantile_max(0.5)},
+      {"queue_p99", coalescer.queue_depth.quantile_max(0.99)},
+      {"admitted", quota_admitted},
+      {"shed", quota_shed},
+      {"connections", server.connections},
+      {"reload_scans", server.reload_scans},
+      {"models", models},
+      {"canaries", canaries_started},
+      {"promotions", promotions},
+      {"rollbacks", rollbacks},
+      {"traced", server.traced},
+      {"trace_evicted", server.trace_evicted},
+      {"trace_queue_p50_us", server.trace_queue_ns.quantile_max(0.5) / 1000},
+      {"trace_queue_p99_us", server.trace_queue_ns.quantile_max(0.99) / 1000},
+      {"trace_batch_p50", server.trace_batch.quantile_max(0.5)},
+      {"trace_batch_p99", server.trace_batch.quantile_max(0.99)},
+      {"trace_predict_p50_us",
+       server.trace_predict_ns.quantile_max(0.5) / 1000},
+      {"trace_predict_p99_us",
+       server.trace_predict_ns.quantile_max(0.99) / 1000},
+  };
 }
 
 std::string EstimatorServer::stats_payload() {
   const StatsView v = collect_stats();
-  const double qps = v.uptime_s > 0.0
-                         ? static_cast<double>(v.server.requests) / v.uptime_s
-                         : 0.0;
   char head[96];
-  std::snprintf(head, sizeof head, "uptime_s=%.3f qps=%.1f", v.uptime_s, qps);
+  std::snprintf(head, sizeof head, "uptime_s=%.3f qps=%.1f", v.uptime_s,
+                v.qps);
   std::string out = head;
-  const auto add = [&out](const char* key, std::uint64_t value) {
+  for (const auto& [key, value] : v.counters()) {
     out += ' ';
     out += key;
     out += '=';
     out += std::to_string(value);
-  };
-  add("requests", v.server.requests);
-  add("ok", v.server.ok);
-  add("err400", v.server.err_bad_request);
-  add("err404", v.server.err_no_model);
-  add("err429", v.server.err_over_quota);
-  add("err500", v.server.err_internal);
-  add("err503", v.server.err_shutdown);
-  add("p50_us", v.server.request_ns.quantile_max(0.5) / 1000);
-  add("p99_us", v.server.request_ns.quantile_max(0.99) / 1000);
-  add("predict_p50_us", v.service.latency.quantile_max(0.5) / 1000);
-  add("predict_p99_us", v.service.latency.quantile_max(0.99) / 1000);
-  add("rows", v.service.rows);
-  add("bundle_loads", v.service.bundle_loads);
-  add("lru_hits", v.service.lru_hits);
-  add("flushes", v.coalescer.flushes);
-  add("full_flushes", v.coalescer.full_flushes);
-  add("budget_flushes", v.coalescer.budget_flushes);
-  add("batch_p50", v.coalescer.batch_fill.quantile_max(0.5));
-  add("batch_p99", v.coalescer.batch_fill.quantile_max(0.99));
-  add("queue_p50", v.coalescer.queue_depth.quantile_max(0.5));
-  add("queue_p99", v.coalescer.queue_depth.quantile_max(0.99));
-  add("admitted", v.quota_admitted);
-  add("shed", v.quota_shed);
-  add("connections", v.server.connections);
-  add("reload_scans", v.server.reload_scans);
-  add("models", v.models);
-  add("canaries", v.canaries_started);
-  add("promotions", v.promotions);
-  add("rollbacks", v.rollbacks);
-  add("traced", v.server.traced);
-  add("trace_evicted", v.server.trace_evicted);
-  add("trace_queue_p50_us", v.server.trace_queue_ns.quantile_max(0.5) / 1000);
-  add("trace_queue_p99_us", v.server.trace_queue_ns.quantile_max(0.99) / 1000);
-  add("trace_batch_p50", v.server.trace_batch.quantile_max(0.5));
-  add("trace_batch_p99", v.server.trace_batch.quantile_max(0.99));
-  add("trace_predict_p50_us",
-      v.server.trace_predict_ns.quantile_max(0.5) / 1000);
-  add("trace_predict_p99_us",
-      v.server.trace_predict_ns.quantile_max(0.99) / 1000);
+  }
   return out;
 }
 
 std::string EstimatorServer::stats_json() {
   const StatsView v = collect_stats();
-  const double qps = v.uptime_s > 0.0
-                         ? static_cast<double>(v.server.requests) / v.uptime_s
-                         : 0.0;
   std::string json = "{\n \"schema_version\": 1,\n";
-  const auto add_u64 = [&json](const char* key, std::uint64_t value,
-                               bool last = false) {
-    json += " \"";
+  json += " \"uptime_s\": " + format_double(v.uptime_s) + ",\n";
+  json += " \"qps\": " + format_double(v.qps);
+  for (const auto& [key, value] : v.counters()) {
+    json += ",\n \"";
     json += key;
     json += "\": ";
     json += std::to_string(value);
-    json += last ? "\n" : ",\n";
-  };
-  json += " \"uptime_s\": " + format_double(v.uptime_s) + ",\n";
-  json += " \"qps\": " + format_double(qps) + ",\n";
-  add_u64("requests", v.server.requests);
-  add_u64("ok", v.server.ok);
-  add_u64("err400", v.server.err_bad_request);
-  add_u64("err404", v.server.err_no_model);
-  add_u64("err429", v.server.err_over_quota);
-  add_u64("err500", v.server.err_internal);
-  add_u64("err503", v.server.err_shutdown);
-  add_u64("p50_us", v.server.request_ns.quantile_max(0.5) / 1000);
-  add_u64("p99_us", v.server.request_ns.quantile_max(0.99) / 1000);
-  add_u64("predict_p50_us", v.service.latency.quantile_max(0.5) / 1000);
-  add_u64("predict_p99_us", v.service.latency.quantile_max(0.99) / 1000);
-  add_u64("rows", v.service.rows);
-  add_u64("bundle_loads", v.service.bundle_loads);
-  add_u64("lru_hits", v.service.lru_hits);
-  add_u64("flushes", v.coalescer.flushes);
-  add_u64("full_flushes", v.coalescer.full_flushes);
-  add_u64("budget_flushes", v.coalescer.budget_flushes);
-  add_u64("batch_p50", v.coalescer.batch_fill.quantile_max(0.5));
-  add_u64("batch_p99", v.coalescer.batch_fill.quantile_max(0.99));
-  add_u64("queue_p50", v.coalescer.queue_depth.quantile_max(0.5));
-  add_u64("queue_p99", v.coalescer.queue_depth.quantile_max(0.99));
-  add_u64("admitted", v.quota_admitted);
-  add_u64("shed", v.quota_shed);
-  add_u64("connections", v.server.connections);
-  add_u64("reload_scans", v.server.reload_scans);
-  add_u64("models", v.models);
-  add_u64("canaries", v.canaries_started);
-  add_u64("promotions", v.promotions);
-  add_u64("rollbacks", v.rollbacks);
-  add_u64("traced", v.server.traced);
-  add_u64("trace_evicted", v.server.trace_evicted);
-  add_u64("trace_queue_p50_us",
-          v.server.trace_queue_ns.quantile_max(0.5) / 1000);
-  add_u64("trace_queue_p99_us",
-          v.server.trace_queue_ns.quantile_max(0.99) / 1000);
-  add_u64("trace_batch_p50", v.server.trace_batch.quantile_max(0.5));
-  add_u64("trace_batch_p99", v.server.trace_batch.quantile_max(0.99));
-  add_u64("trace_predict_p50_us",
-          v.server.trace_predict_ns.quantile_max(0.5) / 1000);
-  add_u64("trace_predict_p99_us",
-          v.server.trace_predict_ns.quantile_max(0.99) / 1000, /*last=*/true);
-  json += "}\n";
+  }
+  json += "\n}\n";
   return json;
 }
 

@@ -38,6 +38,8 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 #include <condition_variable>
 
 #include "common/cancel.hpp"
@@ -177,6 +179,7 @@ class EstimatorServer {
   /// set of locks so the view is consistent.
   struct StatsView {
     double uptime_s = 0.0;
+    double qps = 0.0;
     ServerStats server;
     ServiceStats service;
     CoalescerStats coalescer;
@@ -186,6 +189,11 @@ class EstimatorServer {
     std::uint64_t promotions = 0;
     std::uint64_t rollbacks = 0;
     std::size_t models = 0;
+
+    /// Every counter both renderings (the STATS payload and the JSON
+    /// snapshot) report after uptime_s and qps, in wire order.
+    [[nodiscard]] std::vector<std::pair<const char*, std::uint64_t>>
+    counters() const;
   };
 
   int run_socket();

@@ -35,6 +35,30 @@ expect 1 "bad numeric flag" "$CLI" sweep not-a-number
 expect 1 "unknown module" "$CLI" implement no-such-module --min
 expect 1 "bad deadline value" "$CLI" cnv --deadline-seconds nope
 
+# The shared flag parser's paths, one verb each: a value-taking flag given
+# last, an out-of-range value, an unknown flag, a bad enumerated value.
+expect_stderr() {
+  if ! grep -qxF "$1" "$TMP/err"; then
+    echo "FAIL: stderr lacks the line: $1" >&2
+    sed 's/^/  stderr: /' "$TMP/err" >&2
+    FAILURES=$((FAILURES + 1))
+  else
+    echo "ok: stderr says: $1"
+  fi
+}
+expect 1 "int flag without value" "$CLI" train --jobs
+expect_stderr "missing value for --jobs"
+expect 1 "double flag without value" "$CLI" serve --stdio --coalesce-us
+expect 1 "string flag without value" "$CLI" train --registry
+expect 1 "int flag out of range" "$CLI" train --jobs 2000
+expect_stderr "invalid value '2000' for --jobs (expected 0..1024)"
+expect 1 "double flag out of range" "$CLI" farm --chaos-kill 1.5
+expect 1 "train unknown flag" "$CLI" train --frobnicate
+expect 1 "cnv unknown flag" "$CLI" cnv --frobnicate
+expect 1 "ping unknown flag" "$CLI" ping --frobnicate
+expect 1 "farm unknown flag" "$CLI" farm --frobnicate
+expect 1 "convert unknown --to value" "$CLI" convert a b --to yaml
+
 # 2 -- runtime failure: a bundle path that is not a bundle.
 echo garbage > "$TMP/not-a-bundle.mfb"
 expect 2 "corrupt bundle file" \

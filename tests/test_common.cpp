@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <vector>
+
+#include "common/breaker.hpp"
 #include "common/check.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
@@ -81,6 +85,101 @@ TEST(Csv, HeaderFirstLine) {
   CsvWriter csv({"x", "y"});
   csv.row().cell(1).cell(2);
   EXPECT_EQ(csv.str().substr(0, 4), "x,y\n");
+}
+
+// -- Breaker: the consecutive-failure kernel on a synthetic clock ----------
+
+/// One breaker call at synthetic time `t` seconds: 'a' = allow() (expect
+/// 1 = pass, 0 = fail fast), 'f' = on_failure() (expect the Transition),
+/// 's' = on_success() (expect unused).
+struct BreakerStep {
+  char op;
+  double t;
+  int expect;
+};
+
+void run_breaker_table(int threshold, double cooldown_s,
+                       const std::vector<BreakerStep>& steps) {
+  Breaker breaker(threshold, cooldown_s);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const BreakerStep& step = steps[i];
+    const Breaker::Clock::time_point now =
+        Breaker::Clock::time_point{} +
+        std::chrono::duration_cast<Breaker::Clock::duration>(
+            std::chrono::duration<double>(step.t));
+    SCOPED_TRACE("step " + std::to_string(i) + " '" + step.op + "' at t=" +
+                 std::to_string(step.t));
+    if (step.op == 'a') {
+      EXPECT_EQ(breaker.allow(now) ? 1 : 0, step.expect);
+    } else if (step.op == 'f') {
+      EXPECT_EQ(static_cast<int>(breaker.on_failure(now)), step.expect);
+    } else {
+      breaker.on_success();
+    }
+  }
+}
+
+constexpr int kNone = static_cast<int>(Breaker::Transition::None);
+constexpr int kOpened = static_cast<int>(Breaker::Transition::Opened);
+constexpr int kRearmed = static_cast<int>(Breaker::Transition::Rearmed);
+
+TEST(BreakerKernel, DisabledAtThresholdZero) {
+  run_breaker_table(0, 1.0, {{'f', 0, kNone}, {'f', 0, kNone},
+                             {'f', 0, kNone}, {'a', 0, 1}, {'a', 0.5, 1}});
+}
+
+TEST(BreakerKernel, TripsAtThresholdAndFailsFastInsideCooldown) {
+  run_breaker_table(3, 10.0, {{'a', 0, 1},
+                              {'f', 0, kNone},
+                              {'f', 1, kNone},
+                              {'a', 1.5, 1},  // still closed below threshold
+                              {'f', 2, kOpened},
+                              {'a', 2, 0},
+                              {'a', 11.9, 0}});
+}
+
+TEST(BreakerKernel, SuccessBelowThresholdResetsTheCount) {
+  run_breaker_table(2, 1.0, {{'f', 0, kNone}, {'s', 0, 0}, {'f', 0, kNone},
+                             {'f', 0, kOpened}});
+}
+
+TEST(BreakerKernel, ExactlyOneProbeAfterCooldown) {
+  run_breaker_table(1, 10.0, {{'f', 0, kOpened},
+                              {'a', 10, 1},     // the half-open probe
+                              {'a', 10, 0},     // concurrent callers wait
+                              {'a', 19.9, 0},   // retry pushed to t=20
+                              {'a', 20, 1}});   // a stuck probe is retried
+}
+
+TEST(BreakerKernel, FailedProbeRearms) {
+  run_breaker_table(2, 10.0, {{'f', 0, kNone},
+                              {'f', 0, kOpened},
+                              {'a', 10, 1},
+                              {'f', 13, kRearmed},
+                              {'a', 22.9, 0},
+                              {'a', 23, 1},
+                              {'f', 23, kRearmed}});
+}
+
+TEST(BreakerKernel, SuccessClosesAndRestartsTheCount) {
+  run_breaker_table(2, 10.0, {{'f', 0, kNone},
+                              {'f', 0, kOpened},
+                              {'a', 10, 1},
+                              {'s', 10, 0},
+                              {'a', 10, 1},
+                              {'a', 10, 1},
+                              {'f', 11, kNone},  // count restarted at 0
+                              {'f', 12, kOpened},
+                              {'a', 12, 0}});
+}
+
+TEST(BreakerKernel, ZeroCooldownProbesImmediately) {
+  run_breaker_table(1, 0.0, {{'f', 5, kOpened},
+                             {'a', 5, 1},
+                             {'f', 5, kRearmed},
+                             {'a', 5, 1},
+                             {'s', 5, 0},
+                             {'a', 5, 1}});
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -807,6 +808,31 @@ TEST(SrvServer, AnswersTheProtocolEndToEnd) {
   EXPECT_EQ(server_stats.err_bad_request, 2u);
   EXPECT_EQ(server_stats.err_no_model, 1u);
   EXPECT_EQ(server_stats.request_ns.total, 3u);  // ESTIMATEs only
+}
+
+TEST(SrvServer, StatsPayloadAndJsonCarryTheSameKeysInOrder) {
+  TempDir dir("statskeys");
+  EstimatorServer server(fast_server_options(dir.path()));
+  std::vector<std::string> payload_keys;  // "key=value key=value ..."
+  std::istringstream words(server.stats_payload());
+  for (std::string word; words >> word;) {
+    payload_keys.push_back(word.substr(0, word.find('=')));
+  }
+  std::vector<std::string> json_keys;  // one ` "key": value` per line
+  std::istringstream lines(server.stats_json());
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t open = line.find('"');
+    if (open == std::string::npos) continue;
+    json_keys.push_back(
+        line.substr(open + 1, line.find('"', open + 1) - open - 1));
+  }
+  ASSERT_FALSE(json_keys.empty());
+  EXPECT_EQ(json_keys.front(), "schema_version");
+  json_keys.erase(json_keys.begin());
+  EXPECT_EQ(payload_keys, json_keys);
+  ASSERT_EQ(payload_keys.size(), 39u);  // uptime_s, qps + 37 counters
+  EXPECT_EQ(payload_keys.front(), "uptime_s");
+  EXPECT_EQ(payload_keys.back(), "trace_predict_p99_us");
 }
 
 TEST(SrvServer, OverQuotaClientsAreShedWith429) {

@@ -53,12 +53,13 @@
 //          checkpoints); a second hard-exits with the same status.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -194,56 +195,115 @@ int usage() {
   return 1;
 }
 
-// -- checked numeric option parsing -----------------------------------------
-// std::atof/atoi silently turn a malformed value into 0 (and a flag given
-// last would read past argv); every numeric option instead goes through the
-// shared common/parse_num.hpp from_chars wrappers (full consumption, range,
-// no wrapping), and a bad option exits non-zero with a message naming the
-// flag.
+// -- the flag table ----------------------------------------------------------
+// Each verb declares its flags as one table read by parse_flags(). std::atof/
+// atoi silently turn a malformed value into 0 (and a flag given last would
+// read past argv); numeric values instead go through the shared
+// common/parse_num.hpp from_chars wrappers (full consumption, range, no
+// wrapping), and a bad option exits non-zero with a message naming the flag.
 
-std::optional<double> parse_double(const char* text) {
-  return parse_double_text(text);
-}
+/// Thrown to end the run at a bad flag; main() returns `code`.
+struct ExitWith {
+  int code;
+};
 
-std::optional<int> parse_int(const char* text) {
-  return parse_number<int>(text);
-}
+/// One command-line flag. `apply` stores the flag's value (nullptr for a
+/// switch), or reports a bad one and throws ExitWith.
+struct Flag {
+  const char* name;
+  bool takes_value;
+  std::function<void(const char*)> apply;
+  /// serve --supervised passes the flag verbatim to the daemon child.
+  bool forward = true;
+};
 
-/// Value of option `flag` at argv[i + 1]; exits via the returned nullopt
-/// after printing a "missing value" message when the list ends at the flag.
-const char* option_value(int argc, char** argv, int& i, const char* flag) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value for %s\n", flag);
-    return nullptr;
+/// Store a parsed value through a pointer, or hand it to a setter.
+template <typename Sink, typename T>
+void store(const Sink& sink, T value) {
+  if constexpr (std::is_pointer_v<Sink>) {
+    *sink = static_cast<std::remove_pointer_t<Sink>>(value);
+  } else {
+    sink(value);
   }
-  return argv[++i];
 }
 
-std::optional<double> parse_double_option(int argc, char** argv, int& i,
-                                          const char* flag, double min,
-                                          double max) {
-  const char* text = option_value(argc, argv, i, flag);
-  if (text == nullptr) return std::nullopt;
-  const std::optional<double> value = parse_double(text);
-  if (!value || !(*value >= min && *value <= max)) {
-    std::fprintf(stderr, "invalid value '%s' for %s (expected %g..%g)\n",
-                 text, flag, min, max);
-    return std::nullopt;
-  }
-  return value;
+template <typename Sink>
+Flag int_flag(const char* name, int min, int max, Sink sink) {
+  return {name, true, [=](const char* text) {
+            const std::optional<int> value = parse_number<int>(text, min, max);
+            if (!value) {
+              std::fprintf(stderr,
+                           "invalid value '%s' for %s (expected %d..%d)\n",
+                           text, name, min, max);
+              throw ExitWith{kExitUsage};
+            }
+            store(sink, *value);
+          }};
 }
 
-std::optional<int> parse_int_option(int argc, char** argv, int& i,
-                                    const char* flag, int min, int max) {
-  const char* text = option_value(argc, argv, i, flag);
-  if (text == nullptr) return std::nullopt;
-  const std::optional<int> value = parse_int(text);
-  if (!value || *value < min || *value > max) {
-    std::fprintf(stderr, "invalid value '%s' for %s (expected %d..%d)\n",
-                 text, flag, min, max);
-    return std::nullopt;
+template <typename Sink>
+Flag double_flag(const char* name, double min, double max, Sink sink) {
+  return {name, true, [=](const char* text) {
+            const std::optional<double> value = parse_double_text(text);
+            if (!value || !(*value >= min && *value <= max)) {
+              std::fprintf(stderr,
+                           "invalid value '%s' for %s (expected %g..%g)\n",
+                           text, name, min, max);
+              throw ExitWith{kExitUsage};
+            }
+            store(sink, *value);
+          }};
+}
+
+Flag text_flag(const char* name, std::string* out) {
+  return {name, true, [out](const char* text) { *out = text; }};
+}
+
+Flag switch_flag(const char* name, bool* out) {
+  return {name, false, [out](const char*) { *out = true; }};
+}
+
+/// A flag the serve supervisor keeps instead of forwarding to its child.
+Flag supervisor_only(Flag flag) {
+  flag.forward = false;
+  return flag;
+}
+
+/// The shared --deadline-seconds: an end-to-end budget on g_cancel. Under
+/// serve --supervised the supervisor's deadline governs teardown.
+Flag deadline_flag() {
+  return supervisor_only(double_flag(
+      "--deadline-seconds", 0.0, 1e9,
+      [](double seconds) { g_cancel.set_deadline_seconds(seconds); }));
+}
+
+/// Parse argv[first, argc) against `flags`, in order, stopping at the first
+/// error with ExitWith: an unknown flag prints the usage text, a value flag
+/// given last reports the missing value (both exit 1). `forwarded`, when
+/// given, collects the words of every forwardable flag.
+void parse_flags(int argc, char** argv, int first,
+                 const std::vector<Flag>& flags,
+                 std::vector<std::string>* forwarded = nullptr) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view word = argv[i];
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& f) { return word == f.name; });
+    if (flag == flags.end()) throw ExitWith{usage()};
+    const char* value = nullptr;
+    if (flag->takes_value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", flag->name);
+        throw ExitWith{kExitUsage};
+      }
+      value = argv[++i];
+    }
+    flag->apply(value);
+    if (forwarded != nullptr && flag->forward) {
+      forwarded->emplace_back(word);
+      if (value != nullptr) forwarded->emplace_back(value);
+    }
   }
-  return value;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -658,7 +718,7 @@ std::optional<std::vector<double>> parse_double_list(const char* text) {
     const std::size_t comma = input.find(',', begin);
     const std::size_t end = comma == std::string::npos ? input.size() : comma;
     const std::optional<double> value =
-        parse_double(input.substr(begin, end - begin).c_str());
+        parse_double_text(input.substr(begin, end - begin));
     if (!value || !(*value > 0.0)) return std::nullopt;
     values.push_back(*value);
     if (comma == std::string::npos) break;
@@ -1011,7 +1071,7 @@ int dispatch(int argc, char** argv) {
     if (argc > 3) return usage();
     int count = 100;
     if (argc == 3) {
-      const std::optional<int> parsed = parse_int(argv[2]);
+      const std::optional<int> parsed = parse_number<int>(argv[2]);
       if (!parsed || *parsed <= 0) {
         std::fprintf(stderr,
                      "invalid sweep size '%s' (expected a positive integer)\n",
@@ -1027,20 +1087,10 @@ int dispatch(int argc, char** argv) {
     std::optional<double> cf;
     bool min_search = false;
     std::string verilog;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--cf") == 0) {
-        cf = parse_double_option(argc, argv, i, "--cf", 0.01, 100.0);
-        if (!cf) return 1;
-      } else if (std::strcmp(argv[i], "--min") == 0) {
-        min_search = true;
-      } else if (std::strcmp(argv[i], "--verilog") == 0) {
-        const char* path = option_value(argc, argv, i, "--verilog");
-        if (path == nullptr) return 1;
-        verilog = path;
-      } else {
-        return usage();
-      }
-    }
+    parse_flags(argc, argv, 3,
+                {double_flag("--cf", 0.01, 100.0, &cf),
+                 switch_flag("--min", &min_search),
+                 text_flag("--verilog", &verilog)});
     return cmd_implement(argv[2], cf, min_search, verilog);
   }
   if (command == "estimate") {
@@ -1049,29 +1099,11 @@ int dispatch(int argc, char** argv) {
     int seed = 3;  // the historical hard-coded Options::seed
     std::string registry_dir;
     std::string socket_path;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--jobs") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--jobs", 0, 1024);
-        if (!parsed) return 1;
-        jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--seed", 0, 1 << 30);
-        if (!parsed) return 1;
-        seed = *parsed;
-      } else if (std::strcmp(argv[i], "--registry") == 0) {
-        const char* path = option_value(argc, argv, i, "--registry");
-        if (path == nullptr) return 1;
-        registry_dir = path;
-      } else if (std::strcmp(argv[i], "--socket") == 0) {
-        const char* path = option_value(argc, argv, i, "--socket");
-        if (path == nullptr) return 1;
-        socket_path = path;
-      } else {
-        return usage();
-      }
-    }
+    parse_flags(argc, argv, 3,
+                {int_flag("--jobs", 0, 1024, &jobs),
+                 int_flag("--seed", 0, 1 << 30, &seed),
+                 text_flag("--registry", &registry_dir),
+                 text_flag("--socket", &socket_path)});
     if (!socket_path.empty()) {
       // Same model name cmd_estimate would resolve, but answered by a
       // running daemon instead of an in-process registry load.
@@ -1090,52 +1122,13 @@ int dispatch(int argc, char** argv) {
     int jobs = MF_JOBS_DEFAULT;
     std::string out;
     std::string registry_dir;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--kind") == 0) {
-        const char* text = option_value(argc, argv, i, "--kind");
-        if (text == nullptr) return 1;
-        kind = text;
-      } else if (std::strcmp(argv[i], "--name") == 0) {
-        const char* text = option_value(argc, argv, i, "--name");
-        if (text == nullptr) return 1;
-        name = text;
-      } else if (std::strcmp(argv[i], "--count") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--count", 10, 100000);
-        if (!parsed) return 1;
-        count = *parsed;
-      } else if (std::strcmp(argv[i], "--trees") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--trees", 1, 100000);
-        if (!parsed) return 1;
-        trees = *parsed;
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--seed", 0, 1 << 30);
-        if (!parsed) return 1;
-        seed = *parsed;
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--jobs", 0, 1024);
-        if (!parsed) return 1;
-        jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--out") == 0) {
-        const char* path = option_value(argc, argv, i, "--out");
-        if (path == nullptr) return 1;
-        out = path;
-      } else if (std::strcmp(argv[i], "--registry") == 0) {
-        const char* path = option_value(argc, argv, i, "--registry");
-        if (path == nullptr) return 1;
-        registry_dir = path;
-      } else if (std::strcmp(argv[i], "--deadline-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--deadline-seconds", 0.0, 1e9);
-        if (!parsed) return 1;
-        g_cancel.set_deadline_seconds(*parsed);
-      } else {
-        return usage();
-      }
-    }
+    parse_flags(argc, argv, 2,
+                {text_flag("--kind", &kind), text_flag("--name", &name),
+                 int_flag("--count", 10, 100000, &count),
+                 int_flag("--trees", 1, 100000, &trees),
+                 int_flag("--seed", 0, 1 << 30, &seed),
+                 int_flag("--jobs", 0, 1024, &jobs), text_flag("--out", &out),
+                 text_flag("--registry", &registry_dir), deadline_flag()});
     return cmd_train(kind, name, count, trees,
                      static_cast<std::uint64_t>(seed), jobs, out,
                      registry_dir);
@@ -1146,27 +1139,11 @@ int dispatch(int argc, char** argv) {
     std::string model_name;
     std::string registry_dir;
     std::string socket_path;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--model") == 0) {
-        const char* path = option_value(argc, argv, i, "--model");
-        if (path == nullptr) return 1;
-        model_path = path;
-      } else if (std::strcmp(argv[i], "--name") == 0) {
-        const char* text = option_value(argc, argv, i, "--name");
-        if (text == nullptr) return 1;
-        model_name = text;
-      } else if (std::strcmp(argv[i], "--registry") == 0) {
-        const char* path = option_value(argc, argv, i, "--registry");
-        if (path == nullptr) return 1;
-        registry_dir = path;
-      } else if (std::strcmp(argv[i], "--socket") == 0) {
-        const char* path = option_value(argc, argv, i, "--socket");
-        if (path == nullptr) return 1;
-        socket_path = path;
-      } else {
-        return usage();
-      }
-    }
+    parse_flags(argc, argv, 3,
+                {text_flag("--model", &model_path),
+                 text_flag("--name", &model_name),
+                 text_flag("--registry", &registry_dir),
+                 text_flag("--socket", &socket_path)});
     if (!socket_path.empty()) {
       // The daemon serves registry bundles by name; a local --model file
       // cannot be routed through it.
@@ -1194,214 +1171,96 @@ int dispatch(int argc, char** argv) {
     std::string model;
     std::string registry_dir;
     std::string checkpoint;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--xdc") == 0) {
-        const char* path = option_value(argc, argv, i, "--xdc");
-        if (path == nullptr) return 1;
-        xdc = path;
-      } else if (std::strcmp(argv[i], "--dot") == 0) {
-        const char* path = option_value(argc, argv, i, "--dot");
-        if (path == nullptr) return 1;
-        dot = path;
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--jobs", 0, 1024);
-        if (!parsed) return 1;
-        jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--stitch-engine") == 0) {
-        const char* text = option_value(argc, argv, i, "--stitch-engine");
-        if (text == nullptr) return 1;
-        const std::optional<StitchEngine> engine =
-            stitch_engine_from_string(text);
-        if (!engine) {
-          // A typo'd engine must fail the run (exit 2), never silently fall
-          // back to SA.
-          std::fprintf(stderr,
-                       "unknown stitch engine '%s' (expected sa or evo)\n",
-                       text);
-          return kExitRuntime;
-        }
-        stitch.engine = *engine;
-      } else if (std::strcmp(argv[i], "--stitch-restarts") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--stitch-restarts", 1, 4096);
-        if (!parsed) return 1;
-        stitch.restarts = *parsed;
-      } else if (std::strcmp(argv[i], "--stitch-jobs") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--stitch-jobs", 0, 1024);
-        if (!parsed) return 1;
-        stitch.jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--stitch-population") == 0) {
-        // Parse permissively; population < 2 is rejected by the library's
-        // fail-fast validation in cmd_cnv (exit 2).
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--stitch-population", 0, 65536);
-        if (!parsed) return 1;
-        stitch.evo_population = *parsed;
-      } else if (std::strcmp(argv[i], "--model") == 0) {
-        const char* text = option_value(argc, argv, i, "--model");
-        if (text == nullptr) return 1;
-        model = text;
-      } else if (std::strcmp(argv[i], "--registry") == 0) {
-        const char* path = option_value(argc, argv, i, "--registry");
-        if (path == nullptr) return 1;
-        registry_dir = path;
-      } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-        const char* path = option_value(argc, argv, i, "--checkpoint");
-        if (path == nullptr) return 1;
-        checkpoint = path;
-      } else if (std::strcmp(argv[i], "--deadline-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--deadline-seconds", 0.0, 1e9);
-        if (!parsed) return 1;
-        g_cancel.set_deadline_seconds(*parsed);
-      } else {
-        return usage();
-      }
-    }
+    const Flag engine{"--stitch-engine", true, [&stitch](const char* text) {
+                        const std::optional<StitchEngine> parsed =
+                            stitch_engine_from_string(text);
+                        if (!parsed) {
+                          // A typo'd engine must fail the run (exit 2),
+                          // never silently fall back to SA.
+                          std::fprintf(stderr,
+                                       "unknown stitch engine '%s' "
+                                       "(expected sa or evo)\n",
+                                       text);
+                          throw ExitWith{kExitRuntime};
+                        }
+                        stitch.engine = *parsed;
+                      }};
+    parse_flags(argc, argv, 2,
+                {text_flag("--xdc", &xdc), text_flag("--dot", &dot),
+                 int_flag("--jobs", 0, 1024, &jobs), engine,
+                 int_flag("--stitch-restarts", 1, 4096, &stitch.restarts),
+                 int_flag("--stitch-jobs", 0, 1024, &stitch.jobs),
+                 // Parsed permissively; population < 2 is rejected by the
+                 // library's fail-fast validation in cmd_cnv (exit 2).
+                 int_flag("--stitch-population", 0, 65536,
+                          &stitch.evo_population),
+                 text_flag("--model", &model),
+                 text_flag("--registry", &registry_dir),
+                 text_flag("--checkpoint", &checkpoint), deadline_flag()});
     return cmd_cnv(xdc, dot, jobs, stitch, model, registry_dir, checkpoint);
   }
   if (command == "convert") {
     if (argc < 4) return usage();
     std::optional<PersistFormat> target;
-    for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--to") == 0) {
-        const char* value = option_value(argc, argv, i, "--to");
-        if (value == nullptr) return kExitUsage;
-        if (std::strcmp(value, "text") == 0) {
-          target = PersistFormat::Text;
-        } else if (std::strcmp(value, "binary") == 0) {
-          target = PersistFormat::Binary;
-        } else {
-          std::fprintf(stderr,
-                       "invalid value '%s' for --to (expected text|binary)\n",
-                       value);
-          return kExitUsage;
-        }
-      } else {
-        return usage();
-      }
-    }
+    const Flag to{"--to", true, [&target](const char* text) {
+                    const std::string_view value = text;
+                    if (value == "text") {
+                      target = PersistFormat::Text;
+                    } else if (value == "binary") {
+                      target = PersistFormat::Binary;
+                    } else {
+                      std::fprintf(stderr,
+                                   "invalid value '%s' for --to (expected "
+                                   "text|binary)\n",
+                                   text);
+                      throw ExitWith{kExitUsage};
+                    }
+                  }};
+    parse_flags(argc, argv, 4, {to});
     return cmd_convert(argv[2], argv[3], target);
   }
   if (command == "serve") {
     ServerOptions options;
     std::string registry_flag;
     bool supervised = false;
-    // With --supervised, every flag except the supervisor-owned ones
-    // (--supervised, --socket, --listen-fd, --deadline-seconds) is forwarded
-    // verbatim to the re-executed daemon child.
+    // With --supervised, every flag except the supervisor-owned ones is
+    // forwarded verbatim to the re-executed daemon child.
     std::vector<std::string> passthrough;
-    for (int i = 2; i < argc; ++i) {
-      const int arg_start = i;
-      bool forward = true;
-      if (std::strcmp(argv[i], "--registry") == 0) {
-        const char* path = option_value(argc, argv, i, "--registry");
-        if (path == nullptr) return 1;
-        registry_flag = path;
-      } else if (std::strcmp(argv[i], "--socket") == 0) {
-        const char* path = option_value(argc, argv, i, "--socket");
-        if (path == nullptr) return 1;
-        options.socket_path = path;
-        forward = false;
-      } else if (std::strcmp(argv[i], "--supervised") == 0) {
-        supervised = true;
-        forward = false;
-      } else if (std::strcmp(argv[i], "--listen-fd") == 0) {
-        // Internal handoff flag: the supervisor spawns children with the
-        // inherited listening descriptor's number here.
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--listen-fd", 0, 1 << 20);
-        if (!parsed) return 1;
-        options.listen_fd = *parsed;
-        forward = false;
-      } else if (std::strcmp(argv[i], "--stdio") == 0) {
-        options.stdio = true;
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--jobs", 0, 1024);
-        if (!parsed) return 1;
-        options.jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--max-loaded") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--max-loaded", 1, 4096);
-        if (!parsed) return 1;
-        options.max_loaded_bundles = static_cast<std::size_t>(*parsed);
-      } else if (std::strcmp(argv[i], "--coalesce-us") == 0) {
-        const std::optional<double> parsed =
-            parse_double_option(argc, argv, i, "--coalesce-us", 0.0, 1e7);
-        if (!parsed) return 1;
-        options.coalesce.coalesce_us = *parsed;
-      } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--max-batch", 1, 65536);
-        if (!parsed) return 1;
-        options.coalesce.max_batch = static_cast<std::size_t>(*parsed);
-      } else if (std::strcmp(argv[i], "--queue-capacity") == 0) {
-        // Capacity < max-batch is a semantic error: caught by
-        // server_options_error in cmd_serve (exit 2), not here.
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--queue-capacity", 1, 1 << 20);
-        if (!parsed) return 1;
-        options.coalesce.queue_capacity = static_cast<std::size_t>(*parsed);
-      } else if (std::strcmp(argv[i], "--quota-rate") == 0) {
-        const std::optional<double> parsed =
-            parse_double_option(argc, argv, i, "--quota-rate", 0.0, 1e9);
-        if (!parsed) return 1;
-        options.quota.rate_per_second = *parsed;
-      } else if (std::strcmp(argv[i], "--quota-burst") == 0) {
-        const std::optional<double> parsed =
-            parse_double_option(argc, argv, i, "--quota-burst", 1.0, 1e9);
-        if (!parsed) return 1;
-        options.quota.burst = *parsed;
-      } else if (std::strcmp(argv[i], "--canary-percent") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--canary-percent", 0, 100);
-        if (!parsed) return 1;
-        options.canary.percent = *parsed;
-      } else if (std::strcmp(argv[i], "--canary-fail-threshold") == 0) {
-        const std::optional<int> parsed = parse_int_option(
-            argc, argv, i, "--canary-fail-threshold", 1, 1 << 20);
-        if (!parsed) return 1;
-        options.canary.fail_threshold = *parsed;
-      } else if (std::strcmp(argv[i], "--canary-promote-after") == 0) {
-        const std::optional<int> parsed = parse_int_option(
-            argc, argv, i, "--canary-promote-after", 1, 1 << 30);
-        if (!parsed) return 1;
-        options.canary.promote_after = *parsed;
-      } else if (std::strcmp(argv[i], "--reload-poll-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--reload-poll-seconds", 0.001, 1e6);
-        if (!parsed) return 1;
-        options.reload_poll_seconds = *parsed;
-      } else if (std::strcmp(argv[i], "--stats-json") == 0) {
-        const char* path = option_value(argc, argv, i, "--stats-json");
-        if (path == nullptr) return 1;
-        options.stats_json_path = path;
-      } else if (std::strcmp(argv[i], "--stats-interval") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--stats-interval", 0.001, 1e6);
-        if (!parsed) return 1;
-        options.stats_interval_seconds = *parsed;
-      } else if (std::strcmp(argv[i], "--max-connections") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--max-connections", 1, 4096);
-        if (!parsed) return 1;
-        options.max_connections = *parsed;
-      } else if (std::strcmp(argv[i], "--deadline-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--deadline-seconds", 0.0, 1e9);
-        if (!parsed) return 1;
-        g_cancel.set_deadline_seconds(*parsed);
-        forward = false;  // the supervisor's deadline governs teardown
-      } else {
-        return usage();
-      }
-      if (forward) {
-        for (int k = arg_start; k <= i; ++k) passthrough.emplace_back(argv[k]);
-      }
-    }
+    parse_flags(argc, argv, 2,
+                {text_flag("--registry", &registry_flag),
+                 supervisor_only(text_flag("--socket", &options.socket_path)),
+                 supervisor_only(switch_flag("--supervised", &supervised)),
+                 // Internal handoff flag: the supervisor spawns children with
+                 // the inherited listening descriptor's number here.
+                 supervisor_only(
+                     int_flag("--listen-fd", 0, 1 << 20, &options.listen_fd)),
+                 switch_flag("--stdio", &options.stdio),
+                 int_flag("--jobs", 0, 1024, &options.jobs),
+                 int_flag("--max-loaded", 1, 4096, &options.max_loaded_bundles),
+                 double_flag("--coalesce-us", 0.0, 1e7,
+                             &options.coalesce.coalesce_us),
+                 int_flag("--max-batch", 1, 65536, &options.coalesce.max_batch),
+                 // Capacity < max-batch is a semantic error: caught by
+                 // server_options_error in cmd_serve (exit 2), not here.
+                 int_flag("--queue-capacity", 1, 1 << 20,
+                          &options.coalesce.queue_capacity),
+                 double_flag("--quota-rate", 0.0, 1e9,
+                             &options.quota.rate_per_second),
+                 double_flag("--quota-burst", 1.0, 1e9, &options.quota.burst),
+                 int_flag("--canary-percent", 0, 100, &options.canary.percent),
+                 int_flag("--canary-fail-threshold", 1, 1 << 20,
+                          &options.canary.fail_threshold),
+                 int_flag("--canary-promote-after", 1, 1 << 30,
+                          &options.canary.promote_after),
+                 double_flag("--reload-poll-seconds", 0.001, 1e6,
+                             &options.reload_poll_seconds),
+                 text_flag("--stats-json", &options.stats_json_path),
+                 double_flag("--stats-interval", 0.001, 1e6,
+                             &options.stats_interval_seconds),
+                 int_flag("--max-connections", 1, 4096,
+                          &options.max_connections),
+                 deadline_flag()},
+                &passthrough);
     options.registry_dir = default_registry_dir(registry_flag);
     if (supervised) {
       return cmd_serve_supervised(std::move(options), std::move(passthrough));
@@ -1411,20 +1270,9 @@ int dispatch(int argc, char** argv) {
   if (command == "ping") {
     std::string socket_path;
     double deadline = 2.0;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--socket") == 0) {
-        const char* path = option_value(argc, argv, i, "--socket");
-        if (path == nullptr) return 1;
-        socket_path = path;
-      } else if (std::strcmp(argv[i], "--deadline-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--deadline-seconds", 0.001, 1e9);
-        if (!parsed) return 1;
-        deadline = *parsed;
-      } else {
-        return usage();
-      }
-    }
+    parse_flags(argc, argv, 2,
+                {text_flag("--socket", &socket_path),
+                 double_flag("--deadline-seconds", 0.001, 1e9, &deadline)});
     if (socket_path.empty()) {
       std::fprintf(stderr, "ping needs --socket PATH\n");
       return kExitUsage;
@@ -1436,112 +1284,57 @@ int dispatch(int argc, char** argv) {
     options.cancel = &g_cancel;
     options.plan.count = 48;  // small default; real sweeps pass --count
     bool hang_timeout_set = false;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--dir") == 0) {
-        const char* path = option_value(argc, argv, i, "--dir");
-        if (path == nullptr) return 1;
-        options.dir = path;
-      } else if (std::strcmp(argv[i], "--count") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--count", 1, 100000);
-        if (!parsed) return 1;
-        options.plan.count = *parsed;
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--seed", 0, 1 << 30);
-        if (!parsed) return 1;
-        options.plan.seed = static_cast<std::uint64_t>(*parsed);
-      } else if (std::strcmp(argv[i], "--grid") == 0) {
-        const char* text = option_value(argc, argv, i, "--grid");
-        if (text == nullptr) return 1;
-        const std::optional<std::vector<double>> grid =
-            parse_double_list(text);
-        if (!grid) {
-          std::fprintf(stderr,
-                       "invalid value '%s' for --grid (expected a comma-"
-                       "separated list of positive CF starts)\n",
-                       text);
-          return 1;
-        }
-        options.plan.grid = *grid;
-      } else if (std::strcmp(argv[i], "--workers") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--workers", 1, 256);
-        if (!parsed) return 1;
-        options.workers = *parsed;
-      } else if (std::strcmp(argv[i], "--shards") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--shards", 1, 4096);
-        if (!parsed) return 1;
-        options.plan.shards_per_grid = *parsed;
-      } else if (std::strcmp(argv[i], "--worker-jobs") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--worker-jobs", 0, 1024);
-        if (!parsed) return 1;
-        options.plan.worker_jobs = *parsed;
-      } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--checkpoint-every", 1, 100000);
-        if (!parsed) return 1;
-        options.plan.checkpoint_every = *parsed;
-      } else if (std::strcmp(argv[i], "--max-attempts") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--max-attempts", 1, 1000);
-        if (!parsed) return 1;
-        options.max_attempts = *parsed;
-      } else if (std::strcmp(argv[i], "--hang-timeout-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--hang-timeout-seconds", 0.01, 1e6);
-        if (!parsed) return 1;
-        options.hang_timeout_seconds = *parsed;
-        hang_timeout_set = true;
-      } else if (std::strcmp(argv[i], "--deadline-seconds") == 0) {
-        const std::optional<double> parsed = parse_double_option(
-            argc, argv, i, "--deadline-seconds", 0.0, 1e9);
-        if (!parsed) return 1;
-        g_cancel.set_deadline_seconds(*parsed);
-      } else if (std::strcmp(argv[i], "--chaos-kill") == 0) {
-        const std::optional<double> parsed =
-            parse_double_option(argc, argv, i, "--chaos-kill", 0.0, 1.0);
-        if (!parsed) return 1;
-        options.plan.chaos.p_kill = *parsed;
-        options.plan.chaos.enabled = true;
-      } else if (std::strcmp(argv[i], "--chaos-hang") == 0) {
-        const std::optional<double> parsed =
-            parse_double_option(argc, argv, i, "--chaos-hang", 0.0, 1.0);
-        if (!parsed) return 1;
-        options.plan.chaos.p_hang = *parsed;
-        options.plan.chaos.enabled = true;
-      } else if (std::strcmp(argv[i], "--chaos-slow") == 0) {
-        const std::optional<double> parsed =
-            parse_double_option(argc, argv, i, "--chaos-slow", 0.0, 1.0);
-        if (!parsed) return 1;
-        options.plan.chaos.p_slow = *parsed;
-        options.plan.chaos.enabled = true;
-      } else if (std::strcmp(argv[i], "--chaos-faults") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--chaos-faults", 0, 1 << 30);
-        if (!parsed) return 1;
-        options.plan.chaos.faults_per_shard = *parsed;
-      } else if (std::strcmp(argv[i], "--chaos-seed") == 0) {
-        const std::optional<int> parsed =
-            parse_int_option(argc, argv, i, "--chaos-seed", 0, 1 << 30);
-        if (!parsed) return 1;
-        options.plan.chaos.seed = static_cast<std::uint64_t>(*parsed);
-      } else if (std::strcmp(argv[i], "--quiet") == 0) {
-        options.quiet = true;
-      } else {
-        return usage();
-      }
-    }
+    FarmChaosOptions& chaos = options.plan.chaos;
+    const Flag grid{"--grid", true, [&options](const char* text) {
+                      const std::optional<std::vector<double>> parsed =
+                          parse_double_list(text);
+                      if (!parsed) {
+                        std::fprintf(stderr,
+                                     "invalid value '%s' for --grid (expected "
+                                     "a comma-separated list of positive CF "
+                                     "starts)\n",
+                                     text);
+                        throw ExitWith{kExitUsage};
+                      }
+                      options.plan.grid = *parsed;
+                    }};
+    // Any --chaos-* probability flag switches the injector on.
+    const auto chaos_p = [&chaos](double* p) {
+      return [&chaos, p](double value) {
+        *p = value;
+        chaos.enabled = true;
+      };
+    };
+    parse_flags(argc, argv, 2,
+                {text_flag("--dir", &options.dir),
+                 int_flag("--count", 1, 100000, &options.plan.count),
+                 int_flag("--seed", 0, 1 << 30, &options.plan.seed), grid,
+                 int_flag("--workers", 1, 256, &options.workers),
+                 int_flag("--shards", 1, 4096, &options.plan.shards_per_grid),
+                 int_flag("--worker-jobs", 0, 1024, &options.plan.worker_jobs),
+                 int_flag("--checkpoint-every", 1, 100000,
+                          &options.plan.checkpoint_every),
+                 int_flag("--max-attempts", 1, 1000, &options.max_attempts),
+                 double_flag("--hang-timeout-seconds", 0.01, 1e6,
+                             [&](double seconds) {
+                               options.hang_timeout_seconds = seconds;
+                               hang_timeout_set = true;
+                             }),
+                 deadline_flag(),
+                 double_flag("--chaos-kill", 0.0, 1.0, chaos_p(&chaos.p_kill)),
+                 double_flag("--chaos-hang", 0.0, 1.0, chaos_p(&chaos.p_hang)),
+                 double_flag("--chaos-slow", 0.0, 1.0, chaos_p(&chaos.p_slow)),
+                 int_flag("--chaos-faults", 0, 1 << 30,
+                          &chaos.faults_per_shard),
+                 int_flag("--chaos-seed", 0, 1 << 30, &chaos.seed),
+                 switch_flag("--quiet", &options.quiet)});
     if (options.dir.empty()) {
       std::fprintf(stderr, "farm needs --dir DIR\n");
       return 1;
     }
     // Hung chaos workers are detected via the heartbeat; keep the default
     // timeout tight enough that an injected hang resolves promptly.
-    if (!hang_timeout_set && options.plan.chaos.enabled &&
-        options.plan.chaos.p_hang > 0.0) {
+    if (!hang_timeout_set && chaos.enabled && chaos.p_hang > 0.0) {
       options.hang_timeout_seconds = 2.0;
     }
     return cmd_farm(options);
@@ -1572,5 +1365,7 @@ int main(int argc, char** argv) {
   } catch (const CancelledError&) {
     std::fprintf(stderr, "cancelled\n");
     return kExitCancelled;
+  } catch (const ExitWith& exit) {
+    return exit.code;
   }
 }
