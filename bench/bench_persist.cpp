@@ -202,6 +202,7 @@ int main(int argc, char** argv) {
               bin_load_s * 1e3, speedup);
   std::printf("binary load speedup: %.1fx (acceptance target >= 10x)\n",
               speedup);
+  std::fflush(stdout);  // a failing gate must leave its timings in the log
   MF_CHECK_MSG(speedup >= 10.0,
                "binary ground-truth load must beat text by >= 10x");
 

@@ -116,6 +116,7 @@ int main(int argc, char** argv) {
               "each) -> %.0fx faster than retraining (acceptance target "
               ">= 10x)\n",
               train_s * 1e3, load_s * 1e3, reps, speedup);
+  std::fflush(stdout);  // a failing gate must leave its timings in the log
   MF_CHECK_MSG(speedup >= 10.0,
                "warm bundle load must beat retraining by >= 10x");
 

@@ -221,6 +221,7 @@ int run(bool quick, const std::string& dir) {
   std::printf("coalesced load: %d clients x %zu requests -> %.0f QPS, "
               "%.1fx the baseline (acceptance target >= 5x)\n",
               clients, per_client, load_qps, speedup);
+  std::fflush(stdout);  // a failing gate must leave its timings in the log
   MF_CHECK_MSG(errors.load() == 0, "load phase saw ERR responses");
   MF_CHECK_MSG(identity_misses.load() == 0,
                "batched responses must be bit-identical to solo prediction");
@@ -237,6 +238,7 @@ int run(bool quick, const std::string& dir) {
               "gate %lu us)\n",
               static_cast<unsigned long>(p99_us), kCoalesceUs,
               static_cast<unsigned long>(p99_limit_us));
+  std::fflush(stdout);
   MF_CHECK_MSG(p99_us <= p99_limit_us,
                "ESTIMATE p99 exceeded the coalesce budget + slack");
 

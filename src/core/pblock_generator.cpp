@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.hpp"
+
 namespace mf {
 namespace {
 
@@ -41,6 +43,8 @@ std::optional<PBlock> generate_pblock(const Device& device,
                                       const ResourceReport& report,
                                       const ShapeReport& shape, double cf,
                                       const PBlockGenOptions& opts) {
+  MF_CHECK_MSG(opts.anchor_row >= 0 && opts.anchor_col >= 0,
+               "PBlock anchor must lie on the device (non-negative)");
   const FabricResources needs = needs_of(report, cf);
   PBlockDims dims = pblock_dims(report, shape, cf, device);
 
@@ -55,15 +59,25 @@ std::optional<PBlock> generate_pblock(const Device& device,
     dims.height = std::min(hard_rows + 1, device.rows());
   }
 
+  // A window's resources depend on its top row only through
+  // row0 mod kBramRowPitch: slice counts ignore the row, and BRAM/DSP sites
+  // repeat every pitch (bram_sites_in_rows(r, r + h - 1) equals its value at
+  // r + kBramRowPitch). So when no window fits at any of the first pitch of
+  // anchor rows, none fits further down either, and the row scan stops
+  // after one pitch with the same answer the full scan gives.
+  const int row_end = std::min(device.rows() - dims.height + 1,
+                               opts.anchor_row + kBramRowPitch);
+
   // Widen until some anchor covers all needs (widening is how the generator
   // picks up extra M / BRAM / DSP columns while the aspect stays fixed for
   // the slice part).
   for (int width = dims.width; width <= device.num_columns(); ++width) {
     // Slide the rectangle over all anchors, preferring the requested one.
-    for (int row0 = opts.anchor_row;
-         row0 + dims.height <= device.rows(); ++row0) {
+    for (int row0 = opts.anchor_row; row0 < row_end; ++row0) {
       // Running resource count over a sliding column window.
       const int row_hi = row0 + dims.height - 1;
+      const int bram_per_col = Device::bram_sites_in_rows(row0, row_hi);
+      const int dsp_per_col = Device::dsp_sites_in_rows(row0, row_hi);
       FabricResources window;
       int lo = 0;
       auto add_col = [&](int c, int sign) {
@@ -76,10 +90,10 @@ std::optional<PBlock> generate_pblock(const Device& device,
             window.slices_m += sign * dims.height;
             break;
           case ColumnKind::Bram:
-            window.bram36 += sign * Device::bram_sites_in_rows(row0, row_hi);
+            window.bram36 += sign * bram_per_col;
             break;
           case ColumnKind::Dsp:
-            window.dsp += sign * Device::dsp_sites_in_rows(row0, row_hi);
+            window.dsp += sign * dsp_per_col;
             break;
           case ColumnKind::Clock:
             break;

@@ -37,7 +37,8 @@ struct PBlockGenOptions {
 };
 
 /// Build the PBlock for `report` at correction factor `cf`; nullopt when no
-/// position on `device` satisfies the resource needs at any width.
+/// position on `device` satisfies the resource needs at any width. Throws
+/// CheckError on a negative anchor.
 std::optional<PBlock> generate_pblock(const Device& device,
                                       const ResourceReport& report,
                                       const ShapeReport& shape, double cf,

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hpp"
+#include "common/fault_draw.hpp"
 #include "common/rng.hpp"
 
 namespace mf {
@@ -110,6 +111,10 @@ std::optional<FarmManifest> manifest_from_text(const std::string& text) {
         return std::nullopt;
       }
       chaos.enabled = enabled != 0;
+      if (!fault_probabilities_valid(
+              {chaos.p_kill, chaos.p_hang, chaos.p_slow})) {
+        return std::nullopt;
+      }
     } else {
       return std::nullopt;  // unknown key: not our version after all
     }

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/atomic_file.hpp"
+#include "common/fault_draw.hpp"
 #include "common/supervise.hpp"
 #include "farm/worker.hpp"
 #include "flow/serialize.hpp"
@@ -179,6 +180,11 @@ FarmResult run_farm(const FarmOptions& options) {
   }
   if (options.workers < 1 || options.max_attempts < 1) {
     result.error = "workers and max-attempts must be >= 1";
+    return result;
+  }
+  const FarmChaosOptions& chaos = options.plan.chaos;
+  if (!fault_probabilities_valid({chaos.p_kill, chaos.p_hang, chaos.p_slow})) {
+    result.error = "chaos kill + hang + slow probabilities must not exceed 1";
     return result;
   }
   const std::string exe =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <vector>
@@ -136,9 +137,21 @@ class Packer {
     column_count_ = static_cast<int>(cols.size());
     height_ = height;
     columns_ = cols;
+    // Dense (col, row) -> slice index over the PBlock, -1 off CLB columns.
+    slice_index_.assign(static_cast<std::size_t>(pblock_.width()) *
+                            static_cast<std::size_t>(height),
+                        -1);
     for (std::size_t idx = 0; idx < slices_.size(); ++idx) {
-      by_pos_[{slices_[idx].col, slices_[idx].row}] = idx;
+      slice_index_[grid_offset(slices_[idx].col, slices_[idx].row)] =
+          static_cast<std::int32_t>(idx);
     }
+  }
+
+  /// Offset of (col, row) in `slice_index_`; the cell must be in the PBlock.
+  [[nodiscard]] std::size_t grid_offset(int col, int row) const noexcept {
+    return static_cast<std::size_t>(row - pblock_.row_lo) *
+               static_cast<std::size_t>(pblock_.width()) +
+           static_cast<std::size_t>(col - pblock_.col_lo);
   }
 
   /// Try to place `cell` close to one of its already-placed input drivers
@@ -159,10 +172,14 @@ class Packer {
       static constexpr int kRowOffsets[] = {0, -1, 1, -2, 2, -3, 3, -4, 4};
       for (int drow : kRowOffsets) {
         for (int dcol : kColOffsets) {
-          const auto it = by_pos_.find({dp.col + dcol, dp.row + drow});
-          if (it == by_pos_.end()) continue;
-          if (fits(slice_at(it->second))) {
-            commit(cell, it->second);
+          const int col = dp.col + dcol;
+          const int row = dp.row + drow;
+          if (!pblock_.contains(col, row)) continue;
+          const std::int32_t idx = slice_index_[grid_offset(col, row)];
+          if (idx < 0) continue;
+          const auto slice = static_cast<std::size_t>(idx);
+          if (fits(slice_at(slice))) {
+            commit(cell, slice);
             return true;
           }
         }
@@ -542,7 +559,7 @@ class Packer {
   const DetailedPlaceOptions& opts_;
 
   std::vector<SliceState> slices_;
-  std::map<std::pair<int, int>, std::size_t> by_pos_;
+  std::vector<std::int32_t> slice_index_;  ///< see build_grid
   std::vector<int> columns_;
   int column_count_ = 0;
   int height_ = 0;

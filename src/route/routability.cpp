@@ -68,13 +68,23 @@ RouteEstimate estimate_routability(const Netlist& netlist,
                       static_cast<std::size_t>(c)];
   };
 
+  // Every box lies inside the grid (placed cells lie in the region, escape
+  // boxes are clipped to it), so each row of a box is one contiguous span of
+  // `demand`. Each cell takes its adds in box order: that order fixes the
+  // grid's bits, which timing reads.
   auto smear = [&](const Bbox& box, double total) {
     if (total <= 0.0 || box.pins == 0) return;
-    const long cells = static_cast<long>(box.c1 - box.c0 + 1) *
-                       (box.r1 - box.r0 + 1);
+    MF_CHECK(box.c0 >= est.col0 && box.c1 < est.col0 + est.grid_w &&
+             box.r0 >= est.row0 && box.r1 < est.row0 + est.grid_h);
+    const int span = box.c1 - box.c0 + 1;
+    const long cells = static_cast<long>(span) * (box.r1 - box.r0 + 1);
     const double per_cell = total / static_cast<double>(cells);
     for (int r = box.r0; r <= box.r1; ++r) {
-      for (int c = box.c0; c <= box.c1; ++c) at(c, r) += per_cell;
+      double* row = est.demand.data() +
+                    static_cast<std::size_t>(r - est.row0) *
+                        static_cast<std::size_t>(est.grid_w) +
+                    static_cast<std::size_t>(box.c0 - est.col0);
+      for (int c = 0; c < span; ++c) row[c] += per_cell;
     }
   };
 

@@ -64,6 +64,8 @@ struct RouteEstimate {
 };
 
 /// Estimate congestion for `netlist` placed per `placement` inside `region`.
+/// Every placed cell must lie inside `region`: a net whose bounding box
+/// leaves it fails with CheckError.
 RouteEstimate estimate_routability(const Netlist& netlist,
                                    const Placement& placement,
                                    const PBlock& region,

@@ -92,6 +92,14 @@ FARM_COMMON="--count 8 --shards 2 --checkpoint-every 2 --workers 2 --quiet"
 expect 1 "farm without --dir" "$CLI" farm $FARM_COMMON
 expect 1 "farm bad grid" "$CLI" farm --dir "$TMP/farm-bad" --grid nope
 expect 1 "farm bad workers" "$CLI" farm --dir "$TMP/farm-bad" --workers 0
+# Each chaos probability is in range, but kill + hang exceeds 1.
+expect 1 "farm chaos probabilities over 1" \
+  "$CLI" farm --dir "$TMP/farm-p" $FARM_COMMON --chaos-kill 0.8 --chaos-hang 0.8
+expect_stderr "farm: --chaos-kill + --chaos-hang + --chaos-slow must not exceed 1"
+if [ -e "$TMP/farm-p" ]; then
+  echo "FAIL: rejected chaos farm created its directory" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
 # 0 -- a clean farm completes and merges.
 expect 0 "farm completes" "$CLI" farm --dir "$TMP/farm-a" $FARM_COMMON

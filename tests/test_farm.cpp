@@ -123,6 +123,16 @@ TEST(FarmManifestTest, RejectsTruncationAndGarbage) {
   EXPECT_FALSE(manifest_from_text(""));
 }
 
+TEST(FarmManifestTest, RejectsChaosProbabilitiesOverOne) {
+  FarmPlan plan = small_plan();
+  plan.chaos.enabled = true;
+  plan.chaos.p_kill = 0.8;
+  plan.chaos.p_hang = 0.8;
+  EXPECT_FALSE(manifest_from_text(manifest_to_text(FarmManifest(plan))));
+  plan.chaos.p_hang = 0.2;
+  EXPECT_TRUE(manifest_from_text(manifest_to_text(FarmManifest(plan))));
+}
+
 TEST(FarmManifestTest, ShardingIsDeterministicAndTotal) {
   const FarmManifest manifest(small_plan());
   const std::vector<GenSpec> specs = manifest.specs();
@@ -367,6 +377,13 @@ TEST(FarmTest, RejectsBadOptions) {
   FarmOptions options = farm_options(dir, small_plan());
   options.workers = 0;
   EXPECT_FALSE(run_farm(options).ok);
+  options = farm_options(dir, small_plan());
+  options.plan.chaos.enabled = true;
+  options.plan.chaos.p_kill = 0.5;
+  options.plan.chaos.p_slow = 0.6;
+  const FarmResult chaos = run_farm(options);
+  EXPECT_FALSE(chaos.ok);
+  EXPECT_NE(chaos.error.find("chaos"), std::string::npos);
 }
 
 // -- worker argv round-trip -------------------------------------------------

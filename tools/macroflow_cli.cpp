@@ -65,6 +65,7 @@
 #include "common/atomic_file.hpp"
 #include "common/binfile.hpp"
 #include "common/cancel.hpp"
+#include "common/fault_draw.hpp"
 #include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -190,7 +191,8 @@ int usage() {
       "resumes completed shards. Crashed/hung workers respawn from their\n"
       "checkpoints; a shard that keeps dying is quarantined (exit 2, the\n"
       "merged output covers the surviving shards). --chaos-* enable seeded\n"
-      "fault injection in the workers for testing the supervisor.\n",
+      "fault injection in the workers for testing the supervisor; the kill,\n"
+      "hang and slow probabilities must sum to at most 1.\n",
       stderr);
   return 1;
 }
@@ -1328,6 +1330,13 @@ int dispatch(int argc, char** argv) {
                           &chaos.faults_per_shard),
                  int_flag("--chaos-seed", 0, 1 << 30, &chaos.seed),
                  switch_flag("--quiet", &options.quiet)});
+    if (!fault_probabilities_valid(
+            {chaos.p_kill, chaos.p_hang, chaos.p_slow})) {
+      std::fprintf(stderr,
+                   "farm: --chaos-kill + --chaos-hang + --chaos-slow must not "
+                   "exceed 1\n");
+      return kExitUsage;
+    }
     if (options.dir.empty()) {
       std::fprintf(stderr, "farm needs --dir DIR\n");
       return 1;
